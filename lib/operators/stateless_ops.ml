@@ -12,13 +12,25 @@ let map ~name f =
 
 let identity = map ~name:"identity" (fun t -> t)
 
+(* The elementwise maps write a fresh flat float array in a loop:
+   [Array.map] would call a closure per element and box its result. *)
 let scale ~factor =
   map ~name:(Printf.sprintf "scale_%g" factor) (fun t ->
-      Tuple.with_values t (Array.map (fun v -> v *. factor) t.Tuple.values))
+      let src = t.Tuple.values in
+      let dst = Array.create_float (Array.length src) in
+      for i = 0 to Array.length src - 1 do
+        Array.unsafe_set dst i (Array.unsafe_get src i *. factor)
+      done;
+      Tuple.with_values t dst)
 
 let offset ~delta =
   map ~name:(Printf.sprintf "offset_%g" delta) (fun t ->
-      Tuple.with_values t (Array.map (fun v -> v +. delta) t.Tuple.values))
+      let src = t.Tuple.values in
+      let dst = Array.create_float (Array.length src) in
+      for i = 0 to Array.length src - 1 do
+        Array.unsafe_set dst i (Array.unsafe_get src i +. delta)
+      done;
+      Tuple.with_values t dst)
 
 let compute ~iterations =
   map ~name:(Printf.sprintf "compute_%d" iterations) (fun t ->

@@ -36,17 +36,20 @@ let support t = Array.length t.probs
 let prob t i = t.probs.(i)
 let probs t = Array.copy t.probs
 
+(* Allocation-free: the draw comes back as an immediate int and is scaled
+   here, exactly as [Rng.float] scales it, so the stream and the chosen
+   index are the same as drawing [Rng.float]; the search is a loop, not a
+   closure. *)
 let sample rng t =
-  let u = Rng.float rng in
-  let n = Array.length t.cumulative in
+  let u = Float.of_int (Rng.bits53 rng) *. 0x1p-53 in
+  let c = t.cumulative in
   (* Smallest index whose cumulative value exceeds u. *)
-  let rec search lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if t.cumulative.(mid) > u then search lo mid else search (mid + 1) hi
-  in
-  search 0 (n - 1)
+  let lo = ref 0 and hi = ref (Array.length c - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if Array.unsafe_get c mid > u then hi := mid else lo := mid + 1
+  done;
+  !lo
 
 let max_prob t = Array.fold_left Float.max 0.0 t.probs
 

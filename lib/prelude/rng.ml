@@ -1,4 +1,8 @@
-type t = { mutable state : int64 }
+(* The splitmix64 state lives unboxed in 8 bytes: a [mutable int64] field
+   would box every update. Each draw below does its whole state update and
+   finalization inside one function, so the int64 intermediates stay in
+   registers; only [int64] itself returns a boxed value. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
@@ -8,20 +12,32 @@ let mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let create seed = { state = mix (Int64.of_int seed) }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (mix (Int64.of_int seed))
+
+let copy = Bytes.copy
 
 let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  mix s
 
-let split t = { state = int64 t }
+let split t = of_state (int64 t)
 
-let float t =
-  (* Use the top 53 bits for a uniform double in [0, 1). *)
-  let bits = Int64.shift_right_logical (int64 t) 11 in
-  Int64.to_float bits *. (1.0 /. 9007199254740992.0)
+(* [mix] inlined by hand: a call would box its result. *)
+let bits53 t =
+  let s = Int64.add (Bytes.get_int64_ne t 0) golden_gamma in
+  Bytes.set_int64_ne t 0 s;
+  let z = Int64.mul (Int64.logxor s (Int64.shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.to_int (Int64.shift_right_logical (Int64.logxor z (Int64.shift_right_logical z 31)) 11)
+
+(* The top 53 bits as a uniform double in [0, 1). *)
+let float t = Float.of_int (bits53 t) *. 0x1p-53
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

@@ -20,6 +20,12 @@ val split : t -> t
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
 
+val bits53 : t -> int
+(** The top 53 bits of the next raw output, [Int64.shift_right_logical
+    (int64 t) 11], as an immediate int: the same stream position as one
+    {!int64} or {!float} draw, without boxing a result. Samplers scale it
+    themselves ({!float} is [bits53 t] times [2{^-53}]). *)
+
 val float : t -> float
 (** Uniform float in [\[0, 1)]. *)
 

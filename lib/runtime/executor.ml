@@ -253,7 +253,7 @@ let source_throttled ~rate source =
   fun () ->
     match source () with
     | None -> None
-    | Some t ->
+    | Some _ as emitted_tuple ->
         let now = Unix.gettimeofday () in
         let t0 =
           match !started with
@@ -265,7 +265,7 @@ let source_throttled ~rate source =
         let target = t0 +. (float_of_int !emitted /. rate) in
         if target > now then Unix.sleepf (target -. now);
         incr emitted;
-        Some t
+        emitted_tuple
 
 (* In [`Domain_per_actor] mode every actor body runs on its own domain, so
    the runtime caps the actor count below the OCaml domain limit (the
@@ -276,6 +276,41 @@ let max_actors = 110
 (* Interval between mailbox-occupancy samples (monitor domain in legacy
    mode, the pool's tick in pool mode). *)
 let sample_interval = 1e-3
+
+(* A fission emitter's staging area for one replica during one burst:
+   messages are appended in deal order to a reusable slot array, and the
+   flush conses them into the published list back to front — one cell per
+   message and no reversal. Flushed slots are reset to an out-of-band
+   sentinel (as in {!Spsc_ring}) so the array keeps nothing alive. *)
+module Bucket = struct
+  type 'a t = { mutable slots : Obj.t array; mutable len : int }
+
+  let nil : Obj.t = Obj.repr (ref ())
+  let create () = { slots = [||]; len = 0 }
+  let is_empty b = b.len = 0
+
+  let add (b : 'a t) (x : 'a) =
+    if b.len = Array.length b.slots then begin
+      let slots = Array.make (Stdlib.max 16 (2 * b.len)) nil in
+      Array.blit b.slots 0 slots 0 b.len;
+      b.slots <- slots
+    end;
+    Array.unsafe_set b.slots b.len (Obj.repr x);
+    b.len <- b.len + 1
+
+  let rec cons_down slots i (acc : 'a list) =
+    if i < 0 then acc
+    else begin
+      let x : 'a = Obj.obj (Array.unsafe_get slots i) in
+      Array.unsafe_set slots i nil;
+      cons_down slots (i - 1) (x :: acc)
+    end
+
+  let flush (b : 'a t) : 'a list =
+    let l = cons_down b.slots (b.len - 1) [] in
+    b.len <- 0;
+    l
+end
 
 (* How an actor body touches mailboxes, abstracted over the execution
    model. [cput] is a vertex-attributed put that accounts time spent
@@ -355,11 +390,13 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
     match batch with
     | `Fixed b -> ((fun () -> b), fun _occ -> ())
     | `Adaptive bmax ->
-        let ewma = ref 1.0 in
+        (* A one-slot float array keeps the average unboxed: a [float ref]
+           would box every update. *)
+        let ewma = Array.make 1 1.0 in
         ( (fun () ->
-            let w = int_of_float (Float.ceil !ewma) in
+            let w = int_of_float (Float.ceil ewma.(0)) in
             if w < 1 then 1 else if w > bmax then bmax else w),
-          fun occ -> ewma := (0.75 *. !ewma) +. (0.25 *. float_of_int occ) )
+          fun occ -> ewma.(0) <- (0.75 *. ewma.(0)) +. (0.25 *. float_of_int occ) )
   in
   if instrument.telemetry_sample < 1 then
     invalid_arg "Executor.run: telemetry_sample must be >= 1";
@@ -569,30 +606,31 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                   let t0 = Unix.gettimeofday () in
                   sched_put_batch mb rest;
                   add_blocked v (Unix.gettimeofday () -. t0));
+          (* Per reader, built once: the buffer, the drain policy and the
+             parking hook. Per message, nothing is allocated. *)
           creader =
             (fun mb ->
               let buf = Queue.create () in
               let want, observe = new_drain () in
+              let register = Mailbox.on_item mb in
               let rec next () =
-                match Queue.take_opt buf with
-                | Some x -> x
-                | None ->
-                    observe (Mailbox.take_batch mb ~max:(want ()) ~into:buf);
-                    if Queue.is_empty buf then begin
-                      Ss_sched.Sched.suspend ~register:(Mailbox.on_item mb);
-                      next ()
-                    end
-                    else next ()
+                if not (Queue.is_empty buf) then Queue.take buf
+                else begin
+                  observe (Mailbox.take_batch mb ~max:(want ()) ~into:buf);
+                  if Queue.is_empty buf then Ss_sched.Sched.suspend ~register;
+                  next ()
+                end
               in
               next);
           cburst =
             (fun mb ->
               let buf = Queue.create () in
               let want, observe = new_drain () in
+              let register = Mailbox.on_item mb in
               let rec fill () =
                 observe (Mailbox.take_batch mb ~max:(want ()) ~into:buf);
                 if Queue.is_empty buf then begin
-                  Ss_sched.Sched.suspend ~register:(Mailbox.on_item mb);
+                  Ss_sched.Sched.suspend ~register;
                   fill ()
                 end
               in
@@ -665,11 +703,13 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
     match snk with Some s -> Sink.record_late s v | None -> ()
   in
   (* Successor choice for items leaving vertex [v]: a user router or a
-     probabilistic sample over the out-edges. Returns the successor vertex. *)
+     probabilistic sample over the out-edges. Returns the successor vertex,
+     or [-1] exactly when [v] has no out-edges — an immediate, so a routing
+     decision allocates nothing. *)
   let chooser v rng =
     let out = Topology.succs topology v in
     match out with
-    | [] -> fun _ -> None
+    | [] -> fun _ -> -1
     | edges -> (
         let dests = Array.of_list (List.map fst edges) in
         match List.assoc_opt v routers with
@@ -681,11 +721,15 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                   (Printf.sprintf
                      "Executor: router of vertex %d chose successor %d of %d" v
                      i (Array.length dests))
-              else Some dests.(i)
+              else dests.(i)
         | None ->
             let dist = Discrete.of_weights (Array.of_list (List.map snd edges)) in
-            fun _ -> Some dests.(Discrete.sample rng dist))
+            fun _ -> dests.(Discrete.sample rng dist))
   in
+  (* In-flight instances one input's [outs] become: every output is routed
+     unless the vertex is terminal (the chooser's only [-1]). *)
+  let terminal = Array.init n (fun v -> Topology.succs topology v = []) in
+  let live_outs v outs = if terminal.(v) then 0 else List.length outs in
   (* Distinct destination mailboxes used by a set of (external) successor
      vertices; Eos is broadcast to each exactly once. *)
   let eos_targets vertices =
@@ -728,38 +772,38 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
     | None ->
         fun dest out _birth tk -> put_from v (mailbox_of dest) (wrap_plain out tk)
   in
-  (* Route-then-send for one invocation's outputs under tracking: the
-     number of surviving instances must be known (and settled) before the
-     first publish, so routing decisions are materialized first. The
-     untracked path keeps the original single pass. *)
+  (* Route-then-send for one invocation's outputs, one output at a time,
+     in order. Under tracking the number of surviving instances must be
+     settled before the first publish; it is known without routing
+     ([live_outs]), and sends draw nothing, so draws and deliveries keep
+     their order. Recursive rather than [List.iter] so no closure is built
+     per invocation. *)
+  let rec route_each send choose birth tk = function
+    | [] -> ()
+    | out :: rest ->
+        let dest = choose out in
+        if dest >= 0 then send dest out birth tk;
+        route_each send choose birth tk rest
+  in
+  let route v send choose outs birth tk =
+    settle tk (live_outs v outs - 1);
+    route_each send choose birth tk outs
+  in
   let fanout v send choose outs birth tk =
-    match tk with
-    | No_track ->
-        List.iter
-          (fun out ->
-            Atomic.incr produced.(v);
-            match choose out with
-            | Some dest -> send dest out birth No_track
-            | None -> ())
-          outs
-    | Track _ ->
-        let routed =
-          List.map
-            (fun out ->
-              Atomic.incr produced.(v);
-              (out, choose out))
-            outs
-        in
-        let live =
-          List.fold_left
-            (fun acc (_, d) -> acc + match d with Some _ -> 1 | None -> 0)
-            0 routed
-        in
-        settle tk (live - 1);
-        List.iter
-          (fun (out, d) ->
-            match d with Some dest -> send dest out birth tk | None -> ())
-          routed
+    ignore (Atomic.fetch_and_add produced.(v) (List.length outs));
+    route v send choose outs birth tk
+  in
+  (* A fission worker's or replica's results, all to one channel. *)
+  let rec emit_each v emit birth tk = function
+    | [] -> ()
+    | out :: rest ->
+        Atomic.incr produced.(v);
+        emit out birth tk;
+        emit_each v emit birth tk rest
+  in
+  let emit_all v emit outs birth tk =
+    settle tk (List.length outs - 1);
+    emit_each v emit birth tk outs
   in
   (* One behavior invocation at vertex [v], recording the input tuple's age
      and the invocation duration when telemetry is on. Timing reads the
@@ -844,9 +888,8 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
               match source () with
               | Some t ->
                   Atomic.incr produced.(src);
-                  (match choose t with
-                  | Some dest -> send dest t (stamped ()) No_track
-                  | None -> ());
+                  let dest = choose t in
+                  if dest >= 0 then send dest t (stamped ()) No_track;
                   observe t;
                   loop ()
               | None ->
@@ -908,9 +951,9 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                       complete = (fun () -> Completion.complete compl off);
                     }
                 in
-                (match choose t with
-                | Some dest -> send dest t (stamped ()) tk
-                | None -> settle tk (-1));
+                (let dest = choose t in
+                 if dest >= 0 then send dest t (stamped ()) tk
+                 else settle tk (-1));
                 match wmg with
                 | None -> ()
                 | Some g -> (
@@ -1062,14 +1105,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
             (* Single producer (the emitter), so the merge is scalar. *)
             let mg = Wm_merge.create 1 in
             let max_seen = ref neg_infinity in
-            let emit_all outs birth tk =
-              settle tk (List.length outs - 1);
-              List.iter
-                (fun out ->
-                  Atomic.incr produced.(v);
-                  emit out birth tk)
-                outs
-            in
+            let emit_all outs birth tk = emit_all v emit outs birth tk in
             let fire m =
               (match evented with
               | Some e ->
@@ -1142,7 +1178,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
             let gen = ref 0 in
             let mbs = ref gen0_mbs in
             let route = ref (route_of initial) in
-            let buckets = ref (Array.make initial []) in
+            let buckets = ref (Array.init initial (fun _ -> Bucket.create ())) in
             let eos = ref 0 in
             let rr = ref 0 in
             let emg = Wm_merge.create expected in
@@ -1189,7 +1225,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                 mbs';
               mbs := mbs';
               route := route_of d;
-              buckets := Array.make d [];
+              buckets := Array.init d (fun _ -> Bucket.create ());
               degree := d;
               rr := 0;
               Atomic.set ctl.applied.(v) d;
@@ -1205,32 +1241,29 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
               if want >= 1 && want <> !degree then reconfigure want;
               let burst = next () in
               let d = !degree and bks = !buckets and rt = !route in
-              Queue.iter
-                (fun m ->
-                  match m with
-                  | Eos -> incr eos
-                  | Data t | Timed (t, _) | Tracked (t, _, _) ->
-                      let r = rt t !rr in
-                      incr rr;
-                      bks.(r) <- m :: bks.(r)
-                  | Wm (slot, w) -> (
-                      (* Broadcast each advance to every worker, in deal
-                         position: a worker's windows can span any key it
-                         owns, so all replicas need the watermark. *)
-                      match Wm_merge.observe emg slot w with
-                      | Some m ->
-                          for i = 0 to d - 1 do
-                            bks.(i) <- Wm (0, m) :: bks.(i)
-                          done
-                      | None -> ())
-                  | Drain | Expect _ | Resize _ | Routed _ -> assert false)
-                burst;
+              while not (Queue.is_empty burst) do
+                let m = Queue.take burst in
+                match m with
+                | Eos -> incr eos
+                | Data t | Timed (t, _) | Tracked (t, _, _) ->
+                    let r = rt t !rr in
+                    incr rr;
+                    Bucket.add bks.(r) m
+                | Wm (slot, w) -> (
+                    (* Broadcast each advance to every worker, in deal
+                       position: a worker's windows can span any key it
+                       owns, so all replicas need the watermark. *)
+                    match Wm_merge.observe emg slot w with
+                    | Some m ->
+                        for i = 0 to d - 1 do
+                          Bucket.add bks.(i) (Wm (0, m))
+                        done
+                    | None -> ())
+                | Drain | Expect _ | Resize _ | Routed _ -> assert false
+              done;
               for r = 0 to d - 1 do
-                match bks.(r) with
-                | [] -> ()
-                | acc ->
-                    bks.(r) <- [];
-                    ctx.cput_batch v !mbs.(r) (List.rev acc)
+                if not (Bucket.is_empty bks.(r)) then
+                  ctx.cput_batch v !mbs.(r) (Bucket.flush bks.(r))
               done
             done;
             (if et_on then
@@ -1253,9 +1286,8 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                re-shapes the merge at each swap. *)
             let mg = Wm_merge.create initial in
             let handle t birth tk =
-              match choose t with
-              | Some dest -> send dest t birth tk
-              | None -> settle tk (-1)
+              let dest = choose t in
+              if dest >= 0 then send dest t birth tk else settle tk (-1)
             in
             while !expect < 0 || !eos < !expect do
               match next () with
@@ -1374,37 +1406,34 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                round-robin deal (and thus the collector's reassembly order)
                is untouched: bucketing only batches the publication, the
                per-worker subsequences stay in deal order. *)
-            let buckets = Array.make replicas [] in
+            let buckets = Array.init replicas (fun _ -> Bucket.create ()) in
             while !eos < expected do
               let burst = next () in
-              Queue.iter
-                (fun m ->
-                  match m with
-                  | Eos -> incr eos
-                  | Data _ | Timed _ | Tracked _ ->
-                      let r = !rr mod replicas in
-                      incr rr;
-                      buckets.(r) <- m :: buckets.(r)
-                  | Wm (slot, w) -> (
-                      (* A watermark advance takes one round-robin turn
-                         like an input: the dealt-to worker echoes it in
-                         position and the collector forwards it after
-                         exactly the inputs dealt before it. *)
-                      match Wm_merge.observe mg slot w with
-                      | Some adv ->
-                          let r = !rr mod replicas in
-                          incr rr;
-                          buckets.(r) <- Wm (0, adv) :: buckets.(r)
-                      | None -> ())
-                  | Drain | Expect _ | Resize _ | Routed _ ->
-                      assert false (* elastic units only *))
-                burst;
+              while not (Queue.is_empty burst) do
+                let m = Queue.take burst in
+                match m with
+                | Eos -> incr eos
+                | Data _ | Timed _ | Tracked _ ->
+                    let r = !rr mod replicas in
+                    incr rr;
+                    Bucket.add buckets.(r) m
+                | Wm (slot, w) -> (
+                    (* A watermark advance takes one round-robin turn
+                       like an input: the dealt-to worker echoes it in
+                       position and the collector forwards it after
+                       exactly the inputs dealt before it. *)
+                    match Wm_merge.observe mg slot w with
+                    | Some adv ->
+                        let r = !rr mod replicas in
+                        incr rr;
+                        Bucket.add buckets.(r) (Wm (0, adv))
+                    | None -> ())
+                | Drain | Expect _ | Resize _ | Routed _ ->
+                    assert false (* elastic units only *)
+              done;
               for r = 0 to replicas - 1 do
-                match buckets.(r) with
-                | [] -> ()
-                | acc ->
-                    buckets.(r) <- [];
-                    ctx.cput_batch v worker_mb.(r) (List.rev acc)
+                if not (Bucket.is_empty buckets.(r)) then
+                  ctx.cput_batch v worker_mb.(r) (Bucket.flush buckets.(r))
               done
             done;
             (if et_on then
@@ -1450,31 +1479,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
         let send = sender snk v in
         add_actor ~actor:(opname v ^ ".collector") ~vertex:v (fun () ->
             let next = Array.map (fun mb -> ctx.creader mb) out_mb in
-            let forward birth tk outs =
-              match tk with
-              | No_track ->
-                  List.iter
-                    (fun t ->
-                      match choose t with
-                      | Some dest -> send dest t birth No_track
-                      | None -> ())
-                    outs
-              | Track _ ->
-                  let routed = List.map (fun t -> (t, choose t)) outs in
-                  let live =
-                    List.fold_left
-                      (fun acc (_, d) ->
-                        acc + match d with Some _ -> 1 | None -> 0)
-                      0 routed
-                  in
-                  settle tk (live - 1);
-                  List.iter
-                    (fun (t, d) ->
-                      match d with
-                      | Some dest -> send dest t birth tk
-                      | None -> ())
-                    routed
-            in
+            let forward birth tk outs = route v send choose outs birth tk in
             let wmt = wm_targets v (external_succs v) in
             let rec collect c =
               match next.(c mod replicas) () with
@@ -1530,35 +1535,32 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
             let eos = ref 0 in
             let rr = ref 0 in
             let mg = Wm_merge.create expected in
-            let buckets = Array.make replicas [] in
+            let buckets = Array.init replicas (fun _ -> Bucket.create ()) in
             while !eos < expected do
               let burst = next () in
-              Queue.iter
-                (fun m ->
-                  match m with
-                  | Eos -> incr eos
-                  | Data t | Timed (t, _) | Tracked (t, _, _) ->
-                      let r = route_to_replica t !rr in
-                      incr rr;
-                      buckets.(r) <- m :: buckets.(r)
-                  | Wm (slot, w) -> (
-                      (* Each advance goes to every replica, in deal
-                         position within the burst. *)
-                      match Wm_merge.observe mg slot w with
-                      | Some adv ->
-                          for i = 0 to replicas - 1 do
-                            buckets.(i) <- Wm (0, adv) :: buckets.(i)
-                          done
-                      | None -> ())
-                  | Drain | Expect _ | Resize _ | Routed _ ->
-                      assert false (* elastic units only *))
-                burst;
+              while not (Queue.is_empty burst) do
+                let m = Queue.take burst in
+                match m with
+                | Eos -> incr eos
+                | Data t | Timed (t, _) | Tracked (t, _, _) ->
+                    let r = route_to_replica t !rr in
+                    incr rr;
+                    Bucket.add buckets.(r) m
+                | Wm (slot, w) -> (
+                    (* Each advance goes to every replica, in deal
+                       position within the burst. *)
+                    match Wm_merge.observe mg slot w with
+                    | Some adv ->
+                        for i = 0 to replicas - 1 do
+                          Bucket.add buckets.(i) (Wm (0, adv))
+                        done
+                    | None -> ())
+                | Drain | Expect _ | Resize _ | Routed _ ->
+                    assert false (* elastic units only *)
+              done;
               for r = 0 to replicas - 1 do
-                match buckets.(r) with
-                | [] -> ()
-                | acc ->
-                    buckets.(r) <- [];
-                    ctx.cput_batch v worker_mb.(r) (List.rev acc)
+                if not (Bucket.is_empty buckets.(r)) then
+                  ctx.cput_batch v worker_mb.(r) (Bucket.flush buckets.(r))
               done
             done;
             (if et_on then
@@ -1589,14 +1591,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
               let continue = ref true in
               let mg = Wm_merge.create 1 in
               let max_seen = ref neg_infinity in
-              let emit_all outs birth tk =
-                settle tk (List.length outs - 1);
-                List.iter
-                  (fun out ->
-                    Atomic.incr produced.(v);
-                    emit out birth tk)
-                  outs
-              in
+              let emit_all outs birth tk = emit_all v emit outs birth tk in
               let fire m =
                 (match evented with
                 | Some e ->
@@ -1660,9 +1655,8 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                minimum across its replicas. *)
             let mg = Wm_merge.create replicas in
             let handle t birth tk =
-              match choose t with
-              | Some dest -> send dest t birth tk
-              | None -> settle tk (-1)
+              let dest = choose t in
+              if dest >= 0 then send dest t birth tk else settle tk (-1)
             in
             while !eos < replicas do
               match next () with
@@ -1957,7 +1951,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
               let gen = ref 0 in
               let mbs = ref gen0_mbs in
               let route = ref (route_of initial) in
-              let buckets = ref (Array.make initial []) in
+              let buckets = ref (Array.init initial (fun _ -> Bucket.create ())) in
               let eos = ref 0 in
               let rr = ref 0 in
               let reconfigure want =
@@ -1994,7 +1988,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                   mbs';
                 mbs := mbs';
                 route := route_of d;
-                buckets := Array.make d [];
+                buckets := Array.init d (fun _ -> Bucket.create ());
                 degree := d;
                 rr := 0;
                 Atomic.set ctl.applied.(front) d;
@@ -2008,24 +2002,21 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                 if want >= 1 && want <> !degree then reconfigure want;
                 let burst = next () in
                 let bks = !buckets and rt = !route in
-                Queue.iter
-                  (fun m ->
-                    match m with
-                    | Eos -> incr eos
-                    | Data t | Timed (t, _) ->
-                        let r = rt t !rr in
-                        incr rr;
-                        bks.(r) <- m :: bks.(r)
-                    | Tracked _ | Wm _ | Drain | Expect _ | Resize _
-                    | Routed _ ->
-                        assert false)
-                  burst;
+                while not (Queue.is_empty burst) do
+                  let m = Queue.take burst in
+                  match m with
+                  | Eos -> incr eos
+                  | Data t | Timed (t, _) ->
+                      let r = rt t !rr in
+                      incr rr;
+                      Bucket.add bks.(r) m
+                  | Tracked _ | Wm _ | Drain | Expect _ | Resize _
+                  | Routed _ ->
+                      assert false
+                done;
                 for r = 0 to !degree - 1 do
-                  match bks.(r) with
-                  | [] -> ()
-                  | acc ->
-                      bks.(r) <- [];
-                      ctx.cput_batch front !mbs.(r) (List.rev acc)
+                  if not (Bucket.is_empty bks.(r)) then
+                    ctx.cput_batch front !mbs.(r) (Bucket.flush bks.(r))
                 done
               done;
               Array.iter (fun mb -> put_from front mb Eos) !mbs;
@@ -2088,27 +2079,24 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
               let next = ctx.cburst inbox in
               let eos = ref 0 in
               let rr = ref 0 in
-              let buckets = Array.make replicas [] in
+              let buckets = Array.init replicas (fun _ -> Bucket.create ()) in
               while !eos < expected do
                 let burst = next () in
-                Queue.iter
-                  (fun m ->
-                    match m with
-                    | Eos -> incr eos
-                    | Data t | Timed (t, _) ->
-                        let r = route_to_replica t !rr in
-                        incr rr;
-                        buckets.(r) <- m :: buckets.(r)
-                    | Tracked _ | Wm _ | Drain | Expect _ | Resize _
-                    | Routed _ ->
-                        assert false)
-                  burst;
+                while not (Queue.is_empty burst) do
+                  let m = Queue.take burst in
+                  match m with
+                  | Eos -> incr eos
+                  | Data t | Timed (t, _) ->
+                      let r = route_to_replica t !rr in
+                      incr rr;
+                      Bucket.add buckets.(r) m
+                  | Tracked _ | Wm _ | Drain | Expect _ | Resize _
+                  | Routed _ ->
+                      assert false
+                done;
                 for r = 0 to replicas - 1 do
-                  match buckets.(r) with
-                  | [] -> ()
-                  | acc ->
-                      buckets.(r) <- [];
-                      ctx.cput_batch front worker_mb.(r) (List.rev acc)
+                  if not (Bucket.is_empty buckets.(r)) then
+                    ctx.cput_batch front worker_mb.(r) (Bucket.flush buckets.(r))
                 done
               done;
               Array.iter (fun mb -> put_from front mb Eos) worker_mb);
@@ -2246,7 +2234,7 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
               fns.(v) <- e.Behavior.efn
           | None -> fns.(v) <- Behavior.instantiate b)
         members;
-      let choosers = Array.make n (fun (_ : Tuple.t) -> (None : int option)) in
+      let choosers = Array.make n (fun (_ : Tuple.t) -> -1) in
       List.iter (fun v -> choosers.(v) <- chooser v rng) members;
       let snk = new_sink () in
       let applies = Array.make n (fun (_ : Tuple.t) (_ : float) -> []) in
@@ -2283,16 +2271,21 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
           end
           else senders.(v) dest out birth tk
         in
-        match tk with
-        | No_track ->
+        (* Untracked outputs, and a lone tracked one, are routed and
+           delivered one at a time. Several tracked outputs draw every
+           route of [v] before the first delivery: delivery recurses into
+           in-group members, which draw from the same rng, so that order
+           is part of the stream. *)
+        match (tk, outs) with
+        | No_track, _ | Track _, ([] | [ _ ]) ->
+            settle tk (live_outs v outs - 1);
             List.iter
               (fun out ->
                 Atomic.incr produced.(v);
-                match choose out with
-                | Some dest -> deliver dest out
-                | None -> ())
+                let dest = choose out in
+                if dest >= 0 then deliver dest out)
               outs
-        | Track _ ->
+        | Track _, _ ->
             let routed =
               List.map
                 (fun out ->
@@ -2300,15 +2293,9 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                   (out, choose out))
                 outs
             in
-            let live =
-              List.fold_left
-                (fun acc (_, d) -> acc + match d with Some _ -> 1 | None -> 0)
-                0 routed
-            in
-            settle tk (live - 1);
+            settle tk (live_outs v outs - 1);
             List.iter
-              (fun (out, d) ->
-                match d with Some dest -> deliver dest out | None -> ())
+              (fun (out, dest) -> if dest >= 0 then deliver dest out)
               routed
       and process v t birth tk =
         Atomic.incr consumed.(v);

@@ -166,13 +166,13 @@ let plan ?telemetry topology ~members ~registry =
               | None -> fun (_ : Tuple.t) -> produced.(v) <- produced.(v) + 1
               | Some _ when Array.length dests = 1 ->
                   (* One-point support: the interpreted chooser still
-                     consumes one [Rng.float] here, so draw it raw —
-                     same stream position, without the sampler's
-                     search. *)
+                     consumes one draw here, so draw it raw — same
+                     stream position, without the sampler's search, and
+                     as an immediate int, so nothing is boxed. *)
                   let k0 = continue v dests.(0) in
                   fun out ->
                     produced.(v) <- produced.(v) + 1;
-                    ignore (Rng.float rng : float);
+                    ignore (Rng.bits53 rng : int);
                     k0 out
               | Some dist ->
                   let ks = Array.map (continue v) dests in

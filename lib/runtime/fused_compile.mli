@@ -15,7 +15,7 @@
 
     {b Count parity} is the contract that makes the compiled path safe to
     select automatically: a compiled chain consumes exactly the same
-    [Rng.float] draws, in the same order, as the interpreted walk — one
+    rng draws, in the same order, as the interpreted walk — one
     {!Ss_prelude.Discrete.sample} per produced tuple at every member that
     has successors (single-successor members included), and none at
     members without successors. Per-vertex consumed/produced counts are

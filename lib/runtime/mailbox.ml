@@ -4,184 +4,229 @@ exception Closed = Spsc_ring.Closed
 
 (* --- locking MPSC implementation ---------------------------------- *)
 
+(* A fixed ring of [capacity] slots under one mutex. Slots hold [Obj.t]
+   with an out-of-band sentinel for an empty slot, as in {!Spsc_ring}, so
+   an item costs no queue cell and the array stays a regular (boxed) one
+   even when ['a = float]. *)
 type 'a locking = {
   capacity : int;
-  queue : 'a Queue.t;
+  buf : Obj.t array;
+  mutable head : int; (* slot of the oldest item *)
+  mutable len : int;
   mutex : Mutex.t;
   not_full : Condition.t;
   not_empty : Condition.t;
-  (* Parked-task wakeup callbacks (scheduler resumptions). Registered by
-     [on_space]/[on_item] only while the awaited condition does not hold;
-     drained — and invoked outside the lock — whenever it may again. *)
-  space_waiters : (unit -> unit) Queue.t;
-  item_waiters : (unit -> unit) Queue.t;
+  (* Parked-task wakeup callbacks (scheduler resumptions), newest first.
+     Registered by [on_space]/[on_item] only while the awaited condition
+     does not hold; taken — and invoked outside the lock — whenever it may
+     again. *)
+  mutable space_waiters : (unit -> unit) list;
+  mutable item_waiters : (unit -> unit) list;
   mutable closed : bool;
 }
+
+let nil : Obj.t = Obj.repr (ref ())
 
 let create_lk ~capacity =
   {
     capacity;
-    queue = Queue.create ();
+    buf = Array.make capacity nil;
+    head = 0;
+    len = 0;
     mutex = Mutex.create ();
     not_full = Condition.create ();
     not_empty = Condition.create ();
-    space_waiters = Queue.create ();
-    item_waiters = Queue.create ();
+    space_waiters = [];
+    item_waiters = [];
     closed = false;
   }
 
-(* Every operation holds the mutex inside [Fun.protect] so an exception on
-   any path — including the deliberate [Closed] raise — releases the lock
-   and cannot wedge peer actors. *)
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
+(* Lock discipline, without a [Fun.protect] closure per operation: every
+   path unlocks explicitly before it raises [Closed] and before it runs
+   wakeups (a resumed task may touch the mailbox at once), and the only
+   call that can raise while the lock is held — the condition wait — is
+   wrapped to release it. So no exception wedges peer actors. *)
+let wait_lk t cond =
+  try Condition.wait cond t.mutex
+  with e ->
+    Mutex.unlock t.mutex;
+    raise e
 
-let drain q =
-  let ws = List.of_seq (Queue.to_seq q) in
-  Queue.clear q;
+let closed_lk t =
+  Mutex.unlock t.mutex;
+  raise Closed
+
+(* Callbacks taken under the lock, run after the unlock. Taking them
+   allocates nothing — the hot path has none to take. *)
+let take_items t =
+  let ws = t.item_waiters in
+  if ws != [] then t.item_waiters <- [];
   ws
 
-(* Like [locked], but [f] additionally returns wakeup callbacks collected
-   under the lock; they run after the unlock so a resumed task can touch
-   the mailbox immediately without self-deadlock. Paths that raise collect
-   no wakeups (close already woke everyone). *)
-let locked_wake t f =
-  let result, wakeups = locked t f in
-  List.iter (fun w -> w ()) wakeups;
-  result
+let take_space t =
+  let ws = t.space_waiters in
+  if ws != [] then t.space_waiters <- [];
+  ws
 
-let signal_item t =
-  Condition.signal t.not_empty;
-  drain t.item_waiters
+let unlock_wake t ws =
+  Mutex.unlock t.mutex;
+  Spsc_ring.run_waiters ws
 
-let signal_space t =
-  Condition.signal t.not_full;
-  drain t.space_waiters
+let push_lk t x =
+  let i = t.head + t.len in
+  let i = if i >= t.capacity then i - t.capacity else i in
+  Array.unsafe_set t.buf i (Obj.repr x);
+  t.len <- t.len + 1
+
+let pop_lk t =
+  let i = t.head in
+  let x = Array.unsafe_get t.buf i in
+  Array.unsafe_set t.buf i nil;
+  t.head <- (if i + 1 = t.capacity then 0 else i + 1);
+  t.len <- t.len - 1;
+  Obj.obj x
+
+(* Push while capacity lasts; the suffix that did not fit is physically a
+   tail of the input. *)
+let rec fill_lk t xs =
+  match xs with
+  | x :: rest when t.len < t.capacity ->
+      push_lk t x;
+      fill_lk t rest
+  | rest -> rest
 
 let put_lk t x =
-  locked_wake t (fun () ->
-      while (not t.closed) && Queue.length t.queue >= t.capacity do
-        Condition.wait t.not_full t.mutex
-      done;
-      if t.closed then raise Closed;
-      Queue.push x t.queue;
-      ((), signal_item t))
+  Mutex.lock t.mutex;
+  while (not t.closed) && t.len >= t.capacity do
+    wait_lk t t.not_full
+  done;
+  if t.closed then closed_lk t;
+  push_lk t x;
+  Condition.signal t.not_empty;
+  unlock_wake t (take_items t)
 
 let take_lk t =
-  locked_wake t (fun () ->
-      while (not t.closed) && Queue.is_empty t.queue do
-        Condition.wait t.not_empty t.mutex
-      done;
-      if t.closed then raise Closed;
-      let x = Queue.pop t.queue in
-      (x, signal_space t))
+  Mutex.lock t.mutex;
+  while (not t.closed) && t.len = 0 do
+    wait_lk t t.not_empty
+  done;
+  if t.closed then closed_lk t;
+  let x = pop_lk t in
+  Condition.signal t.not_full;
+  unlock_wake t (take_space t);
+  x
 
 let try_put_lk t x =
-  locked_wake t (fun () ->
-      if t.closed then raise Closed;
-      let ok = Queue.length t.queue < t.capacity in
-      if ok then begin
-        Queue.push x t.queue;
-        (ok, signal_item t)
-      end
-      else (ok, []))
+  Mutex.lock t.mutex;
+  if t.closed then closed_lk t;
+  if t.len < t.capacity then begin
+    push_lk t x;
+    Condition.signal t.not_empty;
+    unlock_wake t (take_items t);
+    true
+  end
+  else begin
+    Mutex.unlock t.mutex;
+    false
+  end
 
 let try_take_lk t =
-  locked_wake t (fun () ->
-      if t.closed then raise Closed;
-      if Queue.is_empty t.queue then (None, [])
-      else
-        let x = Queue.pop t.queue in
-        (Some x, signal_space t))
+  Mutex.lock t.mutex;
+  if t.closed then closed_lk t;
+  if t.len = 0 then begin
+    Mutex.unlock t.mutex;
+    None
+  end
+  else begin
+    let x = pop_lk t in
+    Condition.signal t.not_full;
+    unlock_wake t (take_space t);
+    Some x
+  end
 
 (* Multi-item publish in one lock round-trip: push while capacity lasts,
    hand back the suffix that did not fit (physically shared — no
    allocation). *)
 let try_put_chunk_lk t xs =
-  locked_wake t (fun () ->
-      if t.closed then raise Closed;
-      let rec fill = function
-        | x :: rest when Queue.length t.queue < t.capacity ->
-            Queue.push x t.queue;
-            fill rest
-        | rest -> rest
-      in
-      let n0 = Queue.length t.queue in
-      let rest = fill xs in
-      if Queue.length t.queue > n0 then begin
-        Condition.broadcast t.not_empty;
-        (rest, drain t.item_waiters)
-      end
-      else (rest, []))
+  Mutex.lock t.mutex;
+  if t.closed then closed_lk t;
+  let n0 = t.len in
+  let rest = fill_lk t xs in
+  if t.len > n0 then begin
+    Condition.broadcast t.not_empty;
+    unlock_wake t (take_items t)
+  end
+  else Mutex.unlock t.mutex;
+  rest
 
-let put_batch_lk t xs =
-  let rec go = function
-    | [] -> ()
-    | xs ->
-        locked_wake t (fun () ->
-            while (not t.closed) && Queue.length t.queue >= t.capacity do
-              Condition.wait t.not_full t.mutex
-            done;
-            if t.closed then raise Closed;
-            let rec fill = function
-              | x :: rest when Queue.length t.queue < t.capacity ->
-                  Queue.push x t.queue;
-                  fill rest
-              | rest -> rest
-            in
-            let rest = fill xs in
-            (rest, (Condition.broadcast t.not_empty; drain t.item_waiters)))
-        |> go
-  in
-  go xs
+let rec put_batch_lk t xs =
+  match xs with
+  | [] -> ()
+  | xs ->
+      Mutex.lock t.mutex;
+      while (not t.closed) && t.len >= t.capacity do
+        wait_lk t t.not_full
+      done;
+      if t.closed then closed_lk t;
+      let rest = fill_lk t xs in
+      Condition.broadcast t.not_empty;
+      unlock_wake t (take_items t);
+      put_batch_lk t rest
 
 let take_batch_lk t ~max ~into =
-  locked_wake t (fun () ->
-      if t.closed then raise Closed;
-      let avail = Queue.length t.queue in
-      let n = Stdlib.min max avail in
-      if n = avail then Queue.transfer t.queue into
-      else
-        for _ = 1 to n do
-          Queue.push (Queue.pop t.queue) into
-        done;
-      if n > 0 then begin
-        Condition.broadcast t.not_full;
-        (avail, drain t.space_waiters)
-      end
-      else (avail, []))
+  Mutex.lock t.mutex;
+  if t.closed then closed_lk t;
+  let avail = t.len in
+  let n = Stdlib.min max avail in
+  for _ = 1 to n do
+    Queue.push (pop_lk t) into
+  done;
+  if n > 0 then begin
+    Condition.broadcast t.not_full;
+    unlock_wake t (take_space t)
+  end
+  else Mutex.unlock t.mutex;
+  avail
 
 let on_space_lk t k =
-  locked t (fun () ->
-      if t.closed || Queue.length t.queue < t.capacity then false
-      else begin
-        Queue.push k t.space_waiters;
-        true
-      end)
+  Mutex.lock t.mutex;
+  let park = (not t.closed) && t.len >= t.capacity in
+  if park then t.space_waiters <- k :: t.space_waiters;
+  Mutex.unlock t.mutex;
+  park
 
 let on_item_lk t k =
-  locked t (fun () ->
-      if t.closed || not (Queue.is_empty t.queue) then false
-      else begin
-        Queue.push k t.item_waiters;
-        true
-      end)
+  Mutex.lock t.mutex;
+  let park = (not t.closed) && t.len = 0 in
+  if park then t.item_waiters <- k :: t.item_waiters;
+  Mutex.unlock t.mutex;
+  park
 
-let length_lk t = locked t (fun () -> Queue.length t.queue)
+let length_lk t =
+  Mutex.lock t.mutex;
+  let n = t.len in
+  Mutex.unlock t.mutex;
+  n
 
 let close_lk t =
-  locked_wake t (fun () ->
-      if not t.closed then begin
-        t.closed <- true;
-        Queue.clear t.queue;
-        Condition.broadcast t.not_full;
-        Condition.broadcast t.not_empty;
-        ((), drain t.space_waiters @ drain t.item_waiters)
-      end
-      else ((), []))
+  Mutex.lock t.mutex;
+  if t.closed then Mutex.unlock t.mutex
+  else begin
+    t.closed <- true;
+    Array.fill t.buf 0 t.capacity nil;
+    t.head <- 0;
+    t.len <- 0;
+    Condition.broadcast t.not_full;
+    Condition.broadcast t.not_empty;
+    let ws = take_items t @ take_space t in
+    unlock_wake t ws
+  end
 
-let is_closed_lk t = locked t (fun () -> t.closed)
+let is_closed_lk t =
+  Mutex.lock t.mutex;
+  let c = t.closed in
+  Mutex.unlock t.mutex;
+  c
 
 (* --- facade ------------------------------------------------------- *)
 

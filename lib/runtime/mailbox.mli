@@ -8,10 +8,10 @@
 
     Two implementations live behind this interface and behave
     identically at the API level:
-    - {!create} builds the general locking mailbox (a queue under a mutex
-      and two condition variables) — safe for any number of producers and
-      consumers, so it backs fan-in edges: shuffle/key-partition
-      collectors and fission merge points;
+    - {!create} builds the general locking mailbox (a ring of [capacity]
+      slots under a mutex and two condition variables) — safe for any
+      number of producers and consumers, so it backs fan-in edges:
+      shuffle/key-partition collectors and fission merge points;
     - {!create_spsc} builds a bounded lock-free single-producer/
       single-consumer ring ({!Spsc_ring}) whose fast path takes no lock at
       all — the executor selects it statically for topology edges with

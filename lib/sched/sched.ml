@@ -171,16 +171,21 @@ end
 (* ------------------------------------------------------------------ *)
 (* Lock-free locality-aware pool: the default implementation. *)
 module Lockfree = struct
-  (* One parked worker. [state] is 0 = waiting, 1 = notified,
-     2 = cancelled (the parker found work while double-checking); the CAS
-     on [state] decides who owns the ticket, the mutex/condvar pair only
-     carries the actual sleep. *)
-  type parker = { state : int Atomic.t; pm : Mutex.t; pc : Condition.t }
+  (* A worker's sleep slot: the mutex/condvar pair it sleeps on, made
+     once and reused by every park and every dormant spell (a mutex and a
+     condition are each a finalized block plus a malloc). A worker is
+     never parked and dormant at once; a signal meant for the other kind
+     of sleep is spurious, and every sleeper re-checks its own condition
+     before sleeping again. *)
+  type sleep = { pm : Mutex.t; pc : Condition.t }
 
-  (* Sleep slot for a dormant reserve worker: unlike a [parker] ticket it
-     is permanent, and a wakeup means "your mode changed", not "work
-     arrived". *)
-  type dormitory = { dm : Mutex.t; dc : Condition.t }
+  (* One park of a worker. [state] is 0 = waiting, 1 = notified,
+     2 = cancelled (the parker found work while double-checking); the CAS
+     on [state] decides who owns the ticket, the sleep slot only carries
+     the actual sleep. The state is fresh per park, so a stale ticket can
+     never notify a later one: a late [unpark] at worst signals a newer
+     sleep spuriously. *)
+  type parker = { state : int Atomic.t; slot : sleep }
 
   type t = {
     id : int;
@@ -192,17 +197,17 @@ module Lockfree = struct
     deques : Deque.t array; (* one per worker *)
     injects : task list Atomic.t array; (* per-group Treiber stacks *)
     parked : parker list Atomic.t array; (* per-group parked workers *)
+    sleeps : sleep array; (* one per worker slot *)
     searching : int Atomic.t; (* workers in the spin/steal phase *)
     pending : int Atomic.t;
     finished : bool Atomic.t;
     error : exn option Atomic.t;
     (* Dynamic admission: reserve slots [base, nworkers) each carry a mode
-       atomic (1 = active, 0 = dormant) and a dormitory to sleep in. Their
+       atomic (1 = active, 0 = dormant) and sleep in their sleep slot. Their
        domains are spawned with everyone else's and immediately go dormant;
        [add_workers]/[retire_workers] CAS the mode, so growth and shrink
        never spawn or join a domain mid-run. *)
     mode : int Atomic.t array; (* length nworkers; base slots pinned to 1 *)
-    dorms : dormitory array; (* length nworkers - base *)
     active : int Atomic.t;
     rmutex : Mutex.t; (* runner's finish wait, no-tick mode *)
     rcond : Condition.t;
@@ -240,14 +245,14 @@ module Lockfree = struct
       deques = Array.init slots (fun _ -> Deque.create ());
       injects = Array.init ngroups (fun _ -> Atomic.make []);
       parked = Array.init ngroups (fun _ -> Atomic.make []);
+      sleeps =
+        Array.init slots (fun _ ->
+            { pm = Mutex.create (); pc = Condition.create () });
       searching = Atomic.make 0;
       pending = Atomic.make 0;
       finished = Atomic.make false;
       error = Atomic.make None;
       mode = Array.init slots (fun w -> Atomic.make (if w < nworkers then 1 else 0));
-      dorms =
-        Array.init reserve (fun _ ->
-            { dm = Mutex.create (); dc = Condition.create () });
       active = Atomic.make nworkers;
       rmutex = Mutex.create ();
       rcond = Condition.create ();
@@ -274,9 +279,10 @@ module Lockfree = struct
 
   let unpark p =
     if Atomic.compare_and_set p.state 0 1 then begin
-      Mutex.lock p.pm;
-      Condition.signal p.pc;
-      Mutex.unlock p.pm;
+      let s = p.slot in
+      Mutex.lock s.pm;
+      Condition.signal s.pc;
+      Mutex.unlock s.pm;
       true
     end
     else false (* ticket already notified or cancelled *)
@@ -347,14 +353,14 @@ module Lockfree = struct
         in
         drain ())
       t.parked;
-    (* Dormant reserve workers sleep on their dormitory, not on a parker
-       ticket: wake them so their domains exit and [run] can join. *)
-    Array.iter
-      (fun d ->
-        Mutex.lock d.dm;
-        Condition.broadcast d.dc;
-        Mutex.unlock d.dm)
-      t.dorms;
+    (* Dormant reserve workers sleep without a parker ticket: wake them
+       so their domains exit and [run] can join. *)
+    for w = t.base to t.nworkers - 1 do
+      let s = t.sleeps.(w) in
+      Mutex.lock s.pm;
+      Condition.broadcast s.pc;
+      Mutex.unlock s.pm
+    done;
     Mutex.lock t.rmutex;
     Condition.broadcast t.rcond;
     Mutex.unlock t.rmutex;
@@ -491,9 +497,7 @@ module Lockfree = struct
      a woken worker always rescans before parking again. --- *)
 
   let park t w g =
-    let p =
-      { state = Atomic.make 0; pm = Mutex.create (); pc = Condition.create () }
-    in
+    let p = { state = Atomic.make 0; slot = t.sleeps.(w) } in
     stack_push t.parked.(g) p;
     match find_once t w g with
     | Some _ as r ->
@@ -505,11 +509,12 @@ module Lockfree = struct
           None
         end
         else begin
-          Mutex.lock p.pm;
+          let s = p.slot in
+          Mutex.lock s.pm;
           while Atomic.get p.state = 0 && not (Atomic.get t.finished) do
-            Condition.wait p.pc p.pm
+            Condition.wait s.pc s.pm
           done;
-          Mutex.unlock p.pm;
+          Mutex.unlock s.pm;
           None
         end
 
@@ -556,12 +561,12 @@ module Lockfree = struct
     in
     spill ();
     wake_one t g;
-    let d = t.dorms.(w - t.base) in
-    Mutex.lock d.dm;
+    let s = t.sleeps.(w) in
+    Mutex.lock s.pm;
     while Atomic.get t.mode.(w) = 0 && not (Atomic.get t.finished) do
-      Condition.wait d.dc d.dm
+      Condition.wait s.pc s.pm
     done;
-    Mutex.unlock d.dm
+    Mutex.unlock s.pm
 
   let worker t w () =
     Domain.DLS.set dls_key (Some (t.id, w));
@@ -637,10 +642,10 @@ module Lockfree = struct
       if !n < k && Atomic.compare_and_set t.mode.(w) 0 1 then begin
         incr n;
         Atomic.incr t.active;
-        let d = t.dorms.(w - t.base) in
-        Mutex.lock d.dm;
-        Condition.signal d.dc;
-        Mutex.unlock d.dm
+        let s = t.sleeps.(w) in
+        Mutex.lock s.pm;
+        Condition.signal s.pc;
+        Mutex.unlock s.pm
       end
     done;
     !n

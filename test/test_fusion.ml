@@ -770,6 +770,64 @@ let test_fig11_decision_no_worse_compiled () =
     (comp.Ss_core.Fusion.throughput_ratio
      >= interp.Ss_core.Fusion.throughput_ratio -. 1e-9)
 
+(* ------------------------------------------------------------------ *)
+(* Constant and small space: a compiled chain of [k] inline [scale]
+   members allocates exactly its [k] output tuples — each a record plus
+   its flat values array — and nothing else per input: no intermediate
+   lists, no boxed routing draws, no per-tuple closures. *)
+
+let test_compiled_chain_allocation () =
+  List.iter
+    (fun k ->
+      let ops =
+        Array.init (k + 2) (fun i ->
+            Operator.make ~service_time:1e-7 (Printf.sprintf "v%d" i))
+      in
+      let t =
+        Topology.create_exn ops (List.init (k + 1) (fun i -> (i, i + 1, 1.0)))
+      in
+      let members = List.init k (fun i -> i + 1) in
+      let registry =
+        registry_of
+          (List.map (fun v -> (v, Stateless_ops.scale ~factor:1.5)) members)
+      in
+      let staged =
+        match Fused_compile.plan t ~members ~registry with
+        | Ok staged -> staged
+        | Error e -> Alcotest.fail e
+      in
+      let last = ref (tuple [||]) in
+      let n = Topology.size t in
+      let inst =
+        staged
+          {
+            Fused_compile.rng = Ss_prelude.Rng.create 1;
+            consumed = Array.make n 0;
+            produced = Array.make n 0;
+            emit = (fun _ _ out -> last := out);
+          }
+      in
+      let input = tuple [| 1.0; 2.0 |] in
+      let tuples = 1000 in
+      let run () =
+        for _ = 1 to tuples do
+          inst.Fused_compile.step input
+        done
+      in
+      run ();
+      let w0 = Gc.minor_words () in
+      run ();
+      let words = Gc.minor_words () -. w0 in
+      let out = !last in
+      let per_output =
+        1 + Obj.size (Obj.repr out) + 1 + Obj.size (Obj.repr out.Tuple.values)
+      in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "words per tuple, %d members" k)
+        (float_of_int (k * per_output))
+        (words /. float_of_int tuples))
+    [ 1; 2; 4 ]
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   Alcotest.run "ss_fusion"
@@ -781,6 +839,8 @@ let () =
           quick "supplied chain = staged chain"
             test_supplied_chain_matches_staged;
           test_random_chain_equivalence;
+          quick "compiled chain allocates only its outputs"
+            test_compiled_chain_allocation;
         ] );
       ( "stateful",
         [

@@ -608,6 +608,45 @@ let prop_sampler_rate =
       in
       List.length outs = n / k)
 
+(* [scale] and [offset] fill their output with a loop; both the behavior
+   and its inline twin must equal the [Array.map] they replaced bit for
+   bit, on empty arrays, NaN, signed zeros and infinities too. *)
+let special_float =
+  QCheck.Gen.(
+    oneof
+      [
+        float;
+        oneofl [ 0.0; -0.0; Float.nan; Float.infinity; Float.neg_infinity; 1.5; -1e-310 ];
+      ])
+
+let prop_elementwise_maps_match_array_map =
+  QCheck.Test.make ~name:"scale/offset = Array.map, bitwise" ~count:500
+    QCheck.(
+      make
+        ~print:(fun (c, a) ->
+          Printf.sprintf "%h [|%s|]" c
+            (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%h") a))))
+        Gen.(pair special_float (array_size (int_range 0 8) special_float)))
+    (fun (c, values) ->
+      let bits a = Array.to_list (Array.map Int64.bits_of_float a) in
+      let t = Tuple.make ~ts:1.0 ~key:3 values in
+      let agrees b reference =
+        let expect = bits (Array.map reference values) in
+        let via_behavior =
+          match Behavior.instantiate b t with
+          | [ out ] -> bits out.Tuple.values
+          | _ -> []
+        in
+        let via_inline =
+          match Behavior.inline_spec b with
+          | Some (Behavior.Inline_map mk) -> bits (mk () t).Tuple.values
+          | _ -> []
+        in
+        via_behavior = expect && via_inline = expect
+      in
+      agrees (Stateless_ops.scale ~factor:c) (fun v -> v *. c)
+      && agrees (Stateless_ops.offset ~delta:c) (fun v -> v +. c))
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   let prop t = QCheck_alcotest.to_alcotest t in
@@ -688,5 +727,6 @@ let () =
           prop prop_top_k_matches_sort;
           prop prop_window_firing_rate;
           prop prop_sampler_rate;
+          prop prop_elementwise_maps_match_array_map;
         ] );
     ]

@@ -177,6 +177,96 @@ let test_dist_bare_float () =
 (* ------------------------------------------------------------------ *)
 (* Discrete *)
 
+(* The first eight outputs of each draw for three seeds, pinned from the
+   boxed-state generator this one replaced: [Engine.replay] and every
+   seeded paper reproduction depend on the stream staying bit-identical.
+   The discrete column interleaves a two-way routing table and a Zipf law
+   on one generator, the Zipf draw first. *)
+let golden =
+  [
+    ( 0,
+      [ -2152535657050944081L; 7960286522194355700L; 487617019471545679L;
+        -537132696929009172L; 1961750202426094747L; 6038094601263162090L;
+        3207296026000306913L; -4214222208109204676L ],
+      [ 0x1.c4415072f63b9p-1; 0x1.b9e279aa86e58p-2; 0x1.b1174620025p-6;
+        0x1.f1177150e499p-1; 0x1.b39896a51a87p-4; 0x1.4f2e7c31d1fa8p-2;
+        0x1.6414d5f0fa298p-3; 0x1.8b082675922d5p-1 ],
+      [ 823; 796; 679; 732; 747; 186; 913; 228 ],
+      [ (0, 6); (1, 0); (0, 0); (1, 0); (1, 0); (1, 0); (0, 1); (0, 3) ] );
+    ( 42,
+      [ -7450291807549245335L; 2958219263312191191L; 3069497704473277141L;
+        885919558081284366L; -353919125003956057L; 4337243929683858115L;
+        5152897204343404489L; 2820384354626331986L ],
+      [ 0x1.31367e26140c7p-1; 0x1.486da5f92b86cp-3; 0x1.54c85f31d00d8p-3;
+        0x1.896d649de031p-5; 0x1.f62d40dca5d82p-1; 0x1.e187e2fea8348p-3;
+        0x1.1e0b12d313f7cp-2; 0x1.392025051c93p-3 ],
+      [ 473; 191; 141; 366; 847; 115; 585; 986 ],
+      [ (0, 2); (0, 0); (0, 9); (0, 0); (0, 3); (1, 3); (0, 6); (1, 0) ] );
+    ( 20180901,
+      [ -1059120496091920057L; 1022475620502399310L; 993309454694623505L;
+        -8322130041745315437L; 8531708913886286305L; -3940220261742356984L;
+        6463955510303747720L; -4560336572275051519L ],
+      [ 0x1.e29a7f0a60361p-1; 0x1.c612051af15dp-5; 0x1.b91e35f5e385p-5;
+        0x1.1903b5a39e53dp-1; 0x1.d99ae0378ce74p-2; 0x1.92a30d18a419ap-1;
+        0x1.66d255280e55ap-2; 0x1.816cdc1932a56p-1 ],
+      [ 847; 310; 505; 371; 401; 920; 816; 385 ],
+      [ (0, 7); (0, 0); (1, 1); (1, 0); (0, 1); (0, 1); (0, 1); (0, 5) ] );
+  ]
+
+let test_rng_golden_stream () =
+  List.iter
+    (fun (seed, int64s, floats, ints, discretes) ->
+      let r = Rng.create seed in
+      Alcotest.(check (list int64)) (Printf.sprintf "int64, seed %d" seed)
+        int64s (List.init 8 (fun _ -> Rng.int64 r));
+      let r = Rng.create seed in
+      Alcotest.(check (list int64)) (Printf.sprintf "float bits, seed %d" seed)
+        (List.map Int64.bits_of_float floats)
+        (List.init 8 (fun _ -> Int64.bits_of_float (Rng.float r)));
+      let r = Rng.create seed in
+      Alcotest.(check (list int)) (Printf.sprintf "int 1000, seed %d" seed)
+        ints (List.init 8 (fun _ -> Rng.int r 1000));
+      let r = Rng.create seed in
+      let d = Discrete.of_weights [| 0.7; 0.3 |]
+      and z = Discrete.zipf ~alpha:1.2 10 in
+      Alcotest.(check (list (pair int int)))
+        (Printf.sprintf "Discrete.sample, seed %d" seed)
+        discretes
+        (List.init 8 (fun _ ->
+             let b = Discrete.sample r z in
+             (Discrete.sample r d, b)));
+      (* [bits53] is the same stream position as [int64] and [float]. *)
+      let a = Rng.create seed and b = Rng.create seed in
+      for _ = 1 to 8 do
+        Alcotest.(check int) "bits53 = int64 lsr 11"
+          (Int64.to_int (Int64.shift_right_logical (Rng.int64 a) 11))
+          (Rng.bits53 b)
+      done)
+    golden
+
+(* Minor-heap words [f] allocates on this domain, after one warm-up call. *)
+let minor_words f =
+  f ();
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let test_discrete_sample_allocation () =
+  let rng = Rng.create 7 in
+  let d = Discrete.zipf ~alpha:1.1 16 in
+  let draws = 10_000 in
+  let sink = ref 0 in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to draws do
+          sink := !sink + Discrete.sample rng d
+        done)
+  in
+  Alcotest.(check (float 0.0)) "words per Discrete.sample" 0.0
+    (words /. float_of_int draws);
+  let words = minor_words (fun () -> for _ = 1 to draws do sink := !sink + Rng.bits53 rng done) in
+  Alcotest.(check (float 0.0)) "words per Rng.bits53" 0.0 (words /. float_of_int draws)
+
 let test_discrete_normalization () =
   let d = Discrete.of_weights [| 2.0; 6.0 |] in
   check_float "p0" 0.25 (Discrete.prob d 0);
@@ -343,6 +433,7 @@ let () =
           quick "split independence" test_rng_split_independent;
           quick "shuffle is a permutation" test_rng_shuffle_permutation;
           quick "invalid arguments" test_rng_invalid_args;
+          quick "golden stream" test_rng_golden_stream;
         ] );
       ( "dist",
         [
@@ -363,6 +454,7 @@ let () =
           quick "singleton support" test_discrete_singleton;
           quick "entropy" test_discrete_entropy;
           quick "invalid weights" test_discrete_invalid;
+          quick "sampling allocates nothing" test_discrete_sample_allocation;
         ] );
       ( "stats",
         [

@@ -615,9 +615,17 @@ let with_watchdog ?(limit = 30.0) f =
   in
   wait ()
 
+(* Fails on the first tuple whose value reaches [at], once per [bomb]:
+   the trigger is shared by every instance, so fission replicas of the
+   vertex cannot each raise before the supervisor closes the mailboxes.
+   One failure is what the tests assert; two racing replicas would each be
+   recorded [Failed], as the supervision contract requires. *)
 let bomb ~at =
+  let fired = Atomic.make false in
   Behavior.make ~name:"bomb" (fun () t ->
-      if Tuple.value t 0 >= at then failwith "boom" else [ t ])
+      if Tuple.value t 0 >= at && not (Atomic.exchange fired true) then
+        failwith "boom"
+      else [ t ])
 
 let check_failed_outcome ~vertex (m : Executor.metrics) =
   (match m.Executor.outcome with
@@ -913,6 +921,64 @@ let test_mailbox_waiter_registration create () =
   Alcotest.(check int) "close fires parked waiter" 3 (Atomic.get fired);
   Alcotest.(check bool) "closed -> no park (item)" false (Mailbox.on_item mb2 cb);
   Alcotest.(check bool) "closed -> no park (space)" false (Mailbox.on_space mb2 cb)
+
+(* The mailbox side of a transfer allocates nothing when no task is
+   parked: no lock closures, no result tuples, no waiter drain, no queue
+   cell per item. Measured on this domain alone, after a warm-up round;
+   [take_batch] is charged net of the caller's own [Queue] cells, which a
+   calibration push of the same items into a second queue measures. *)
+let test_mailbox_allocation create () =
+  let items = 32 in
+  let mb : int Mailbox.t = create ~capacity:items in
+  let chunk = List.init items Fun.id in
+  let into = Queue.create () and calibration = Queue.create () in
+  let words_of f =
+    let w0 = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. w0
+  in
+  let drain () =
+    let taken =
+      words_of (fun () -> ignore (Mailbox.take_batch mb ~max:items ~into))
+    in
+    let cells =
+      words_of (fun () ->
+          for i = 1 to items do
+            Queue.push i calibration
+          done)
+    in
+    taken -. cells
+  in
+  for round = 0 to 1 do
+    let put =
+      words_of (fun () ->
+          for i = 1 to items do
+            ignore (Mailbox.try_put mb i)
+          done)
+    in
+    Queue.clear into;
+    Queue.clear calibration;
+    let take = drain () in
+    Alcotest.(check int) "drained" items (Queue.length into);
+    let rest = ref chunk in
+    let put_chunk = words_of (fun () -> rest := Mailbox.try_put_chunk mb chunk) in
+    Alcotest.(check (list int)) "whole chunk placed" [] !rest;
+    Queue.clear into;
+    Queue.clear calibration;
+    let take_chunk = drain () in
+    if round = 1 then
+      List.iter
+        (fun (what, words) ->
+          Alcotest.(check (float 0.0))
+            (what ^ ": words per item") 0.0
+            (words /. float_of_int items))
+        [
+          ("try_put", put);
+          ("take_batch", take);
+          ("try_put_chunk", put_chunk);
+          ("take_batch after a chunk", take_chunk);
+        ]
+  done
 
 let test_sched_parked_wakeup_on_close create () =
   (* A pooled task parked on an empty mailbox must wake when the mailbox is
@@ -1718,6 +1784,7 @@ let () =
               test_mailbox_waiter_registration;
             per_kind "parked task wakes on close"
               test_sched_parked_wakeup_on_close;
+            per_kind "transfers allocate nothing" test_mailbox_allocation;
           ] );
       ( "sched",
         [

@@ -310,6 +310,27 @@ let prop_model_matches_simulation =
       in
       Float.abs (measured -. predicted) <= 0.05 *. predicted)
 
+(* Per-vertex counts [Engine.replay] predicts for Fig. 11 with Table 1's
+   fusion, pinned from the boxed-state generator: the routing streams must
+   stay bit-identical across changes to [Rng] and [Discrete]. *)
+let test_fig11_replay_pinned () =
+  List.iter
+    (fun (seed, consumed, produced) ->
+      let c, p =
+        Engine.replay ~fused:[ [ 2; 3; 4 ] ] ~seed ~tuples:10_000
+          (Fixtures.table1 ())
+      in
+      Alcotest.(check (array int)) (Printf.sprintf "consumed, seed %d" seed) consumed c;
+      Alcotest.(check (array int)) (Printf.sprintf "produced, seed %d" seed) produced p)
+    [
+      ( 42,
+        [| 0; 6995; 3005; 1966; 1547; 10000 |],
+        [| 10000; 6995; 3005; 1966; 1547; 10000 |] );
+      ( 701,
+        [| 0; 7006; 2994; 2059; 1483; 10000 |],
+        [| 10000; 7006; 2994; 2059; 1483; 10000 |] );
+    ]
+
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
   let prop t = QCheck_alcotest.to_alcotest t in
@@ -322,6 +343,7 @@ let () =
           quick "weighted diamond" test_diamond_weighted;
           quick "fig11 measured vs predicted" test_fig11_measured_vs_predicted;
           quick "table2 fused topology" test_table2_fused_measured;
+          quick "fig11 replay counts pinned" test_fig11_replay_pinned;
         ] );
       ( "selectivity",
         [
