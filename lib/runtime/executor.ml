@@ -328,7 +328,7 @@ type ctx = {
   cput : 'a. int -> 'a Mailbox.t -> 'a -> unit;
   cput_batch : 'a. int -> 'a Mailbox.t -> 'a list -> unit;
   creader : 'a. 'a Mailbox.t -> unit -> 'a;
-  cburst : 'a. 'a Mailbox.t -> unit -> 'a Queue.t;
+  cburst : 'a. 'a Mailbox.t -> unit -> 'a Ring.t;
 }
 
 let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
@@ -579,12 +579,12 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
           creader = (fun mb () -> Mailbox.take mb);
           cburst =
             (fun mb ->
-              let buf = Queue.create () in
+              let buf = Ring.create () in
               fun () ->
-                Queue.clear buf;
+                Ring.clear buf;
                 (* One blocking take for the head of the burst, then a
                    non-blocking drain of whatever else is already there. *)
-                Queue.push (Mailbox.take mb) buf;
+                Ring.push buf (Mailbox.take mb);
                 if batch_max > 1 then
                   ignore (Mailbox.take_batch mb ~max:(batch_max - 1) ~into:buf);
                 buf);
@@ -610,32 +610,32 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
              parking hook. Per message, nothing is allocated. *)
           creader =
             (fun mb ->
-              let buf = Queue.create () in
+              let buf = Ring.create () in
               let want, observe = new_drain () in
               let register = Mailbox.on_item mb in
               let rec next () =
-                if not (Queue.is_empty buf) then Queue.take buf
+                if not (Ring.is_empty buf) then Ring.pop buf
                 else begin
                   observe (Mailbox.take_batch mb ~max:(want ()) ~into:buf);
-                  if Queue.is_empty buf then Ss_sched.Sched.suspend ~register;
+                  if Ring.is_empty buf then Ss_sched.Sched.suspend ~register;
                   next ()
                 end
               in
               next);
           cburst =
             (fun mb ->
-              let buf = Queue.create () in
+              let buf = Ring.create () in
               let want, observe = new_drain () in
               let register = Mailbox.on_item mb in
               let rec fill () =
                 observe (Mailbox.take_batch mb ~max:(want ()) ~into:buf);
-                if Queue.is_empty buf then begin
+                if Ring.is_empty buf then begin
                   Ss_sched.Sched.suspend ~register;
                   fill ()
                 end
               in
               fun () ->
-                Queue.clear buf;
+                Ring.clear buf;
                 fill ();
                 buf);
         }
@@ -1241,8 +1241,8 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
               if want >= 1 && want <> !degree then reconfigure want;
               let burst = next () in
               let d = !degree and bks = !buckets and rt = !route in
-              while not (Queue.is_empty burst) do
-                let m = Queue.take burst in
+              while not (Ring.is_empty burst) do
+                let m = Ring.pop burst in
                 match m with
                 | Eos -> incr eos
                 | Data t | Timed (t, _) | Tracked (t, _, _) ->
@@ -1409,8 +1409,8 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
             let buckets = Array.init replicas (fun _ -> Bucket.create ()) in
             while !eos < expected do
               let burst = next () in
-              while not (Queue.is_empty burst) do
-                let m = Queue.take burst in
+              while not (Ring.is_empty burst) do
+                let m = Ring.pop burst in
                 match m with
                 | Eos -> incr eos
                 | Data _ | Timed _ | Tracked _ ->
@@ -1538,8 +1538,8 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
             let buckets = Array.init replicas (fun _ -> Bucket.create ()) in
             while !eos < expected do
               let burst = next () in
-              while not (Queue.is_empty burst) do
-                let m = Queue.take burst in
+              while not (Ring.is_empty burst) do
+                let m = Ring.pop burst in
                 match m with
                 | Eos -> incr eos
                 | Data t | Timed (t, _) | Tracked (t, _, _) ->
@@ -2002,8 +2002,8 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
                 if want >= 1 && want <> !degree then reconfigure want;
                 let burst = next () in
                 let bks = !buckets and rt = !route in
-                while not (Queue.is_empty burst) do
-                  let m = Queue.take burst in
+                while not (Ring.is_empty burst) do
+                  let m = Ring.pop burst in
                   match m with
                   | Eos -> incr eos
                   | Data t | Timed (t, _) ->
@@ -2082,8 +2082,8 @@ let run_internal ?control ?notify ?ingest ?event_time ?(reserve = 0)
               let buckets = Array.init replicas (fun _ -> Bucket.create ()) in
               while !eos < expected do
                 let burst = next () in
-                while not (Queue.is_empty burst) do
-                  let m = Queue.take burst in
+                while not (Ring.is_empty burst) do
+                  let m = Ring.pop burst in
                   match m with
                   | Eos -> incr eos
                   | Data t | Timed (t, _) ->

@@ -16,12 +16,11 @@ type 'a locking = {
   mutex : Mutex.t;
   not_full : Condition.t;
   not_empty : Condition.t;
-  (* Parked-task wakeup callbacks (scheduler resumptions), newest first.
-     Registered by [on_space]/[on_item] only while the awaited condition
-     does not hold; taken — and invoked outside the lock — whenever it may
-     again. *)
-  mutable space_waiters : (unit -> unit) list;
-  mutable item_waiters : (unit -> unit) list;
+  (* Parked-task wakeup callbacks (scheduler resumptions). Registered by
+     [on_space]/[on_item] only while the awaited condition does not hold;
+     taken — and invoked outside the lock — whenever it may again. *)
+  space_waiters : Spsc_ring.waiters;
+  item_waiters : Spsc_ring.waiters;
   mutable closed : bool;
 }
 
@@ -36,8 +35,8 @@ let create_lk ~capacity =
     mutex = Mutex.create ();
     not_full = Condition.create ();
     not_empty = Condition.create ();
-    space_waiters = [];
-    item_waiters = [];
+    space_waiters = Spsc_ring.waiters ();
+    item_waiters = Spsc_ring.waiters ();
     closed = false;
   }
 
@@ -56,21 +55,9 @@ let closed_lk t =
   Mutex.unlock t.mutex;
   raise Closed
 
-(* Callbacks taken under the lock, run after the unlock. Taking them
-   allocates nothing — the hot path has none to take. *)
-let take_items t =
-  let ws = t.item_waiters in
-  if ws != [] then t.item_waiters <- [];
-  ws
-
-let take_space t =
-  let ws = t.space_waiters in
-  if ws != [] then t.space_waiters <- [];
-  ws
-
-let unlock_wake t ws =
-  Mutex.unlock t.mutex;
-  Spsc_ring.run_waiters ws
+(* Release the lock, then run the callbacks of one waiter set, taken
+   under it. Allocates nothing. *)
+let unlock_wake t ws = Spsc_ring.unlock_and_wake t.mutex ws
 
 let push_lk t x =
   let i = t.head + t.len in
@@ -103,7 +90,7 @@ let put_lk t x =
   if t.closed then closed_lk t;
   push_lk t x;
   Condition.signal t.not_empty;
-  unlock_wake t (take_items t)
+  unlock_wake t t.item_waiters
 
 let take_lk t =
   Mutex.lock t.mutex;
@@ -113,7 +100,7 @@ let take_lk t =
   if t.closed then closed_lk t;
   let x = pop_lk t in
   Condition.signal t.not_full;
-  unlock_wake t (take_space t);
+  unlock_wake t t.space_waiters;
   x
 
 let try_put_lk t x =
@@ -122,7 +109,7 @@ let try_put_lk t x =
   if t.len < t.capacity then begin
     push_lk t x;
     Condition.signal t.not_empty;
-    unlock_wake t (take_items t);
+    unlock_wake t t.item_waiters;
     true
   end
   else begin
@@ -140,7 +127,7 @@ let try_take_lk t =
   else begin
     let x = pop_lk t in
     Condition.signal t.not_full;
-    unlock_wake t (take_space t);
+    unlock_wake t t.space_waiters;
     Some x
   end
 
@@ -154,7 +141,7 @@ let try_put_chunk_lk t xs =
   let rest = fill_lk t xs in
   if t.len > n0 then begin
     Condition.broadcast t.not_empty;
-    unlock_wake t (take_items t)
+    unlock_wake t t.item_waiters
   end
   else Mutex.unlock t.mutex;
   rest
@@ -170,7 +157,7 @@ let rec put_batch_lk t xs =
       if t.closed then closed_lk t;
       let rest = fill_lk t xs in
       Condition.broadcast t.not_empty;
-      unlock_wake t (take_items t);
+      unlock_wake t t.item_waiters;
       put_batch_lk t rest
 
 let take_batch_lk t ~max ~into =
@@ -179,11 +166,11 @@ let take_batch_lk t ~max ~into =
   let avail = t.len in
   let n = Stdlib.min max avail in
   for _ = 1 to n do
-    Queue.push (pop_lk t) into
+    Ss_prelude.Ring.push into (pop_lk t)
   done;
   if n > 0 then begin
     Condition.broadcast t.not_full;
-    unlock_wake t (take_space t)
+    unlock_wake t t.space_waiters
   end
   else Mutex.unlock t.mutex;
   avail
@@ -191,14 +178,14 @@ let take_batch_lk t ~max ~into =
 let on_space_lk t k =
   Mutex.lock t.mutex;
   let park = (not t.closed) && t.len >= t.capacity in
-  if park then t.space_waiters <- k :: t.space_waiters;
+  if park then Spsc_ring.add_waiter t.space_waiters k;
   Mutex.unlock t.mutex;
   park
 
 let on_item_lk t k =
   Mutex.lock t.mutex;
   let park = (not t.closed) && t.len = 0 in
-  if park then t.item_waiters <- k :: t.item_waiters;
+  if park then Spsc_ring.add_waiter t.item_waiters k;
   Mutex.unlock t.mutex;
   park
 
@@ -218,8 +205,11 @@ let close_lk t =
     t.len <- 0;
     Condition.broadcast t.not_full;
     Condition.broadcast t.not_empty;
-    let ws = take_items t @ take_space t in
-    unlock_wake t ws
+    (* One waiter set per lock hold; a registration in between sees the
+       close and refuses to park. *)
+    unlock_wake t t.item_waiters;
+    Mutex.lock t.mutex;
+    unlock_wake t t.space_waiters
   end
 
 let is_closed_lk t =

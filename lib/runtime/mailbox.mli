@@ -79,11 +79,11 @@ val put_batch : 'a t -> 'a list -> unit
     @raise Closed if closed, including mid-batch while blocked (items
     already enqueued are discarded by the close, like any pending item). *)
 
-val take_batch : 'a t -> max:int -> into:'a Queue.t -> int
+val take_batch : 'a t -> max:int -> into:'a Ss_prelude.Ring.t -> int
 (** Non-blocking dequeue of up to [max] items in queue order, appended to
-    the caller's reusable [into] buffer (no per-activation list is built —
-    cf. stream fusion: the N:M scheduler drains a batch per activation to
-    amortize dispatch cost). Returns the occupancy observed {e before}
+    the caller's reusable [into] buffer (no per-activation list is built
+    and no cell per item — cf. stream fusion: the N:M scheduler drains a
+    batch per activation to amortize dispatch cost). Returns the occupancy observed {e before}
     draining, so [min max result] items were appended and the result
     doubles as the occupancy sample behind adaptive drain sizing.
     @raise Closed when closed.

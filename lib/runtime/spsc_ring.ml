@@ -36,12 +36,44 @@ type 'a t = {
   space_waiting : bool Atomic.t;
   wlock : Mutex.t;
   wcond : Condition.t; (* blocking put/take park on this *)
-  (* Parked callbacks, newest first; guarded by [wlock]. *)
-  mutable item_waiters : (unit -> unit) list;
-  mutable space_waiters : (unit -> unit) list;
+  (* Parked callbacks; guarded by [wlock]. *)
+  item_waiters : waiters;
+  space_waiters : waiters;
+}
+
+(* A waiter set: the oldest callback in a field of its own, so the lone
+   waiter of a single consumer (or producer) costs no cons cell, and any
+   later ones in a list, newest first. [rest] is empty while [first] is
+   [no_waiter]. *)
+and waiters = {
+  mutable first : unit -> unit;
+  mutable rest : (unit -> unit) list;
 }
 
 let nil : Obj.t = Obj.repr (ref ())
+let no_waiter () = ()
+let waiters () = { first = no_waiter; rest = [] }
+let has_waiters w = w.first != no_waiter
+
+let add_waiter w k =
+  if w.first == no_waiter then w.first <- k else w.rest <- k :: w.rest
+
+(* Take a waiter set's callbacks (under its lock), release [lock], then
+   run them oldest first: a resumed task may touch the ring — or this
+   very lock — at once. Allocates nothing for a lone waiter, and an
+   empty set — the locking mailbox's every transfer — costs one
+   comparison. *)
+let unlock_and_wake lock w =
+  let first = w.first in
+  if first == no_waiter then Mutex.unlock lock
+  else begin
+    let rest = w.rest in
+    w.first <- no_waiter;
+    w.rest <- [];
+    Mutex.unlock lock;
+    first ();
+    if rest != [] then List.iter (fun k -> k ()) (List.rev rest)
+  end
 
 (* [head] and [tail] are written by opposite domains; allocated side by
    side they would share a cache line and bounce it between the domains
@@ -78,8 +110,8 @@ let create ~capacity =
     space_waiting = Atomic.make false;
     wlock = Mutex.create ();
     wcond = Condition.create ();
-    item_waiters = [];
-    space_waiters = [];
+    item_waiters = waiters ();
+    space_waiters = waiters ();
   }
 
 let capacity t = t.capacity
@@ -91,30 +123,15 @@ let length t =
     let d = Atomic.get t.tail - Atomic.get t.head in
     if d < 0 then 0 else d
 
-(* Run callbacks taken from a waiter list, oldest first. A lone waiter —
-   the usual case: one consumer, one producer — costs no allocation. *)
-let run_waiters = function
-  | [] -> ()
-  | [ k ] -> k ()
-  | ws -> List.iter (fun k -> k ()) (List.rev ws)
-
-(* Take one waiter list under the lock, invoke outside it (a resumed task
-   may touch the ring — or this very lock — immediately). *)
 let wake_item t =
   Mutex.lock t.wlock;
   Atomic.set t.item_waiting false;
-  let ws = t.item_waiters in
-  t.item_waiters <- [];
-  Mutex.unlock t.wlock;
-  run_waiters ws
+  unlock_and_wake t.wlock t.item_waiters
 
 let wake_space t =
   Mutex.lock t.wlock;
   Atomic.set t.space_waiting false;
-  let ws = t.space_waiters in
-  t.space_waiters <- [];
-  Mutex.unlock t.wlock;
-  run_waiters ws
+  unlock_and_wake t.wlock t.space_waiters
 
 let try_put t x =
   if Atomic.get t.closed then raise Closed;
@@ -193,7 +210,7 @@ let take_batch t ~max ~into =
   let n = if avail < max then avail else max in
   for k = 0 to n - 1 do
     let i = (head + k) land t.mask in
-    Queue.push (Obj.obj t.buf.(i)) into;
+    Ss_prelude.Ring.push into (Obj.obj t.buf.(i));
     t.buf.(i) <- nil
   done;
   if n > 0 then begin
@@ -218,8 +235,9 @@ let on_item t k =
       (not (Atomic.get t.closed))
       && Atomic.get t.tail - Atomic.get t.head = 0
     in
-    if park then t.item_waiters <- k :: t.item_waiters
-    else if t.item_waiters == [] then Atomic.set t.item_waiting false;
+    if park then add_waiter t.item_waiters k
+    else if not (has_waiters t.item_waiters) then
+      Atomic.set t.item_waiting false;
     Mutex.unlock t.wlock;
     park
   end
@@ -233,8 +251,9 @@ let on_space t k =
       (not (Atomic.get t.closed))
       && Atomic.get t.tail - Atomic.get t.head >= t.capacity
     in
-    if park then t.space_waiters <- k :: t.space_waiters
-    else if t.space_waiters == [] then Atomic.set t.space_waiting false;
+    if park then add_waiter t.space_waiters k
+    else if not (has_waiters t.space_waiters) then
+      Atomic.set t.space_waiting false;
     Mutex.unlock t.wlock;
     park
   end
@@ -285,9 +304,9 @@ let close t =
   Atomic.set t.closed true;
   Atomic.set t.item_waiting false;
   Atomic.set t.space_waiting false;
-  let ws = t.space_waiters @ t.item_waiters in
-  t.item_waiters <- [];
-  t.space_waiters <- [];
   Condition.broadcast t.wcond;
-  Mutex.unlock t.wlock;
-  run_waiters ws
+  (* One waiter set per lock hold; a registration in between sees the
+     close and refuses to park. *)
+  unlock_and_wake t.wlock t.item_waiters;
+  Mutex.lock t.wlock;
+  unlock_and_wake t.wlock t.space_waiters

@@ -60,7 +60,7 @@ val put_batch : 'a t -> 'a list -> unit
     @raise Closed if closed, including mid-batch (already-enqueued items
     stay behind and are discarded by the close). *)
 
-val take_batch : 'a t -> max:int -> into:'a Queue.t -> int
+val take_batch : 'a t -> max:int -> into:'a Ss_prelude.Ring.t -> int
 (** Dequeue up to [max] items in order, appending them to [into], with a
     single head publication. Returns the occupancy observed {e before}
     draining — so [min max result] items were appended, and the caller can
@@ -91,7 +91,22 @@ val close : 'a t -> unit
 
 val is_closed : 'a t -> bool
 
-val run_waiters : (unit -> unit) list -> unit
-(** Invoke parked callbacks taken from a newest-first waiter list, oldest
-    first. A lone waiter — one consumer, one producer — costs no
-    allocation. Shared with the locking mailbox's waiter lists. *)
+(** {2 Waiter sets}
+
+    The parked callbacks of one side, shared with the locking mailbox. The
+    first waiter sits in a field of its own, so a lone waiter — one
+    consumer, one producer — is registered without a cons cell; more
+    concurrent waiters go to a list. Not synchronized: the owner guards a
+    set with its own lock. *)
+
+type waiters
+
+val waiters : unit -> waiters
+
+val add_waiter : waiters -> (unit -> unit) -> unit
+(** Register a callback. *)
+
+val unlock_and_wake : Mutex.t -> waiters -> unit
+(** [unlock_and_wake lock w] — the caller holds [lock], which guards [w]:
+    empty [w], release [lock], then invoke the callbacks it held, oldest
+    first. Allocates nothing for a lone waiter. *)

@@ -15,12 +15,12 @@
     The default implementation is lock-free on the hot path: each worker
     owns a Chase–Lev deque (push/pop without locks, thieves CAS the top),
     cross-domain wakeups land on a per-group lock-free injection stack, and
-    idle workers spin briefly before parking on a single-waiter list where
-    an enqueue wakes exactly one sleeper. Workers can further be
-    partitioned into locality {e groups}: a task spawned with [?group] has
-    its wakeups routed to that group's deques and its group's workers steal
-    from each other before raiding foreign groups, emulating NUMA/placement
-    domains in process. The previous mutex-per-deque implementation is kept
+    idle workers spin briefly before parking as a bit in their group's
+    parked mask, from which an enqueue claims and wakes exactly one
+    sleeper. Workers can further be partitioned into locality {e groups}:
+    a task spawned with [?group] has its wakeups routed to that group's
+    deques and its group's workers steal from each other before raiding
+    foreign groups, emulating NUMA/placement domains in process. The previous mutex-per-deque implementation is kept
     as [`Locked] for differential benchmarking.
 
     The pool terminates when every spawned task has returned or raised. *)
@@ -114,13 +114,28 @@ val suspend : register:((unit -> unit) -> bool) -> unit
 (** [suspend ~register] parks the current task. [register resume] must
     atomically either install [resume] as a wakeup callback and return
     [true], or return [false] when the awaited condition already holds (or
-    can never hold) — in which case the task continues immediately. [resume]
-    may be called from any domain, at most once per registration; calling it
-    re-enqueues the task. Callers retry their non-blocking operation after
-    waking: a wakeup is a hint, not a guarantee.
+    can never hold) — in which case the task continues immediately.
+    [resume] may be called from any domain; the first call after the park
+    re-enqueues the task, which may then run on any worker.
+
+    A wakeup is a hint, not a guarantee, and callers retry their
+    non-blocking operation after waking. A stale or duplicate [resume] —
+    a second call, a call made before [register] returns [false], or the
+    [resume] of an earlier registration firing after the task has parked
+    again, run on, or finished — is harmless: it either finds the task
+    already resumed and does nothing, or wakes its current park early.
+    No call ever resumes one park twice.
+
+    The task's [resume] is one closure, made when the task was spawned and
+    passed to every registration. A park/resume cycle allocates only the
+    effect value and the continuation block that [Effect.perform] makes
+    (5 words); a worker's sleep and wakeup allocate nothing.
 
     Must be called from inside a task running on a pool. *)
 
 val yield : unit -> unit
-(** Re-enqueue the current task and let the worker pick other work. Must be
-    called from inside a task running on a pool. *)
+(** Re-enqueue the current task and let the worker pick other work: the
+    task goes behind every other task the worker can run (its queue, its
+    group's injected wakeups, and tasks that yielded before it), so tasks
+    that yield in a loop on one worker take turns. Must be called from
+    inside a task running on a pool. *)

@@ -410,6 +410,33 @@ let prop_heap_sorts =
       in
       drain [] = List.sort compare xs)
 
+(* Ring: FIFO order across growth and wrap-around, the back end, and
+   clearing. *)
+let test_ring () =
+  let r = Ring.create () in
+  Alcotest.(check bool) "starts empty" true (Ring.is_empty r);
+  (* Offset the head so that growth has to unwrap the slots. *)
+  for i = 1 to 10 do
+    Ring.push r i
+  done;
+  for _ = 1 to 10 do
+    ignore (Ring.pop r)
+  done;
+  for i = 1 to 40 do
+    Ring.push r i
+  done;
+  Alcotest.(check int) "length" 40 (Ring.length r);
+  Alcotest.(check int) "back" 40 (Ring.pop_back r);
+  Alcotest.(check (list int)) "front to back after growth"
+    (List.init 39 (fun i -> i + 1))
+    (List.init 39 (fun _ -> Ring.pop r));
+  Ring.push r 7;
+  Ring.push r 8;
+  Ring.clear r;
+  Alcotest.(check bool) "cleared" true (Ring.is_empty r);
+  Alcotest.check_raises "pop on empty" (Invalid_argument "Ring.pop: empty")
+    (fun () -> ignore (Ring.pop r))
+
 let prop_percentile_within_bounds =
   QCheck.Test.make ~name:"percentile stays within sample bounds" ~count:500
     QCheck.(pair (float_range 0.0 100.0) (array_of_size (QCheck.Gen.int_range 1 50) (float_range (-100.) 100.)))
@@ -471,6 +498,7 @@ let () =
           quick "pop_exn on empty" test_heap_pop_exn;
           quick "custom comparison" test_heap_custom_order;
         ] );
+      ("ring", [ quick "fifo, growth and clear" test_ring ]);
       ( "properties",
         [ prop prop_heap_sorts; prop prop_percentile_within_bounds ] );
     ]

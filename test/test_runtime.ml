@@ -4,6 +4,7 @@
 open Ss_topology
 open Ss_operators
 open Ss_runtime
+module Ring = Ss_prelude.Ring
 
 let tuple ?(key = 0) ?(tag = 0) values = Tuple.make ~key ~tag values
 
@@ -127,10 +128,12 @@ let test_mailbox_closed_operations create () =
   Alcotest.(check bool) "try_take raises" true
     (raises_closed (fun () -> Mailbox.try_take mb))
 
+let ring_to_list b = List.init (Ring.length b) (fun _ -> Ring.pop b)
+
 let drain_list mb ~max =
-  let q = Queue.create () in
-  let occ = Mailbox.take_batch mb ~max ~into:q in
-  (occ, List.of_seq (Queue.to_seq q))
+  let b = Ring.create () in
+  let occ = Mailbox.take_batch mb ~max ~into:b in
+  (occ, ring_to_list b)
 
 let test_mailbox_put_batch create () =
   let mb = create ~capacity:4 in
@@ -876,11 +879,11 @@ let test_mailbox_take_batch create () =
       ignore (drain_list mb ~max:0));
   (* The reusable drain buffer is appended to, not cleared. *)
   Mailbox.put mb 7;
-  let q = Queue.create () in
-  Queue.push 6 q;
-  ignore (Mailbox.take_batch mb ~max:4 ~into:q);
+  let b = Ring.create () in
+  Ring.push b 6;
+  ignore (Mailbox.take_batch mb ~max:4 ~into:b);
   Alcotest.(check (list int)) "appends to the buffer" [ 6; 7 ]
-    (List.of_seq (Queue.to_seq q));
+    (ring_to_list b);
   Mailbox.close mb;
   try
     ignore (drain_list mb ~max:1);
@@ -923,31 +926,24 @@ let test_mailbox_waiter_registration create () =
   Alcotest.(check bool) "closed -> no park (space)" false (Mailbox.on_space mb2 cb)
 
 (* The mailbox side of a transfer allocates nothing when no task is
-   parked: no lock closures, no result tuples, no waiter drain, no queue
-   cell per item. Measured on this domain alone, after a warm-up round;
-   [take_batch] is charged net of the caller's own [Queue] cells, which a
-   calibration push of the same items into a second queue measures. *)
+   parked: no lock closures, no result tuples, no waiter drain, no cell
+   per item. Measured on this domain alone, after a warm-up round (which
+   also grows the reader's drain buffer to the burst); [take_batch] is
+   charged with the drain buffer it appends to, and nothing is
+   subtracted. *)
 let test_mailbox_allocation create () =
   let items = 32 in
   let mb : int Mailbox.t = create ~capacity:items in
   let chunk = List.init items Fun.id in
-  let into = Queue.create () and calibration = Queue.create () in
+  let into = Ring.create () in
   let words_of f =
     let w0 = Gc.minor_words () in
     f ();
     Gc.minor_words () -. w0
   in
   let drain () =
-    let taken =
-      words_of (fun () -> ignore (Mailbox.take_batch mb ~max:items ~into))
-    in
-    let cells =
-      words_of (fun () ->
-          for i = 1 to items do
-            Queue.push i calibration
-          done)
-    in
-    taken -. cells
+    Ring.clear into;
+    words_of (fun () -> ignore (Mailbox.take_batch mb ~max:items ~into))
   in
   for round = 0 to 1 do
     let put =
@@ -956,15 +952,11 @@ let test_mailbox_allocation create () =
             ignore (Mailbox.try_put mb i)
           done)
     in
-    Queue.clear into;
-    Queue.clear calibration;
     let take = drain () in
-    Alcotest.(check int) "drained" items (Queue.length into);
+    Alcotest.(check int) "drained" items (Ring.length into);
     let rest = ref chunk in
     let put_chunk = words_of (fun () -> rest := Mailbox.try_put_chunk mb chunk) in
     Alcotest.(check (list int)) "whole chunk placed" [] !rest;
-    Queue.clear into;
-    Queue.clear calibration;
     let take_chunk = drain () in
     if round = 1 then
       List.iter

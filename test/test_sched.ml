@@ -2,9 +2,10 @@
    locked baseline, exercised directly (without the executor) through
    spawn/suspend/resume/yield storms across worker counts and group
    shapes. The invariants under test: every spawned task runs exactly
-   once (no lost or double-run tasks), the pool drains, the first error
-   propagates out of [run], group validation, and the prompt-finish tick
-   contract. *)
+   once (no lost or double-run tasks), even when resumes come twice or
+   stale; the pool drains; the first error propagates out of [run];
+   group validation; the prompt-finish tick contract; fair yields; and
+   a park/resume cycle that allocates only what [perform] makes. *)
 
 module Sched = Ss_sched.Sched
 
@@ -252,6 +253,112 @@ let test_tick_prompt_finish () =
     impls
 
 (* ------------------------------------------------------------------ *)
+(* Fair yield: a yielding task goes behind the worker's other runnable
+   tasks, so on one worker a task that spawns a peer and then yields in
+   a loop alternates with it. *)
+
+let test_yield_interleaves () =
+  List.iter
+    (fun (name, impl) ->
+      let trace = Buffer.create 16 in
+      let pool = Sched.create ~workers:1 ~impl () in
+      let body c () =
+        for _ = 1 to 4 do
+          Buffer.add_char trace c;
+          Sched.yield ()
+        done
+      in
+      Sched.spawn pool (fun () ->
+          Sched.spawn pool (body 'B');
+          body 'A' ());
+      with_watchdog (fun () -> Sched.run pool);
+      Alcotest.(check string)
+        (name ^ ": yields alternate") "ABABABAB" (Buffer.contents trace))
+    impls
+
+(* ------------------------------------------------------------------ *)
+(* Allocation: on one worker, after a warm-up, a park/resume cycle
+   allocates only the effect value and the continuation block that
+   [perform] makes (5 words), and a worker's sleep and wakeup allocate
+   nothing on top. Every closure the cycles use is made before the
+   count starts; [Gc.minor_words] counts this domain only. *)
+
+let cycle_bound = 5.0
+
+(* Words allocated per [cycle ()] on the pool's single worker. *)
+let words_per_cycle impl cycle =
+  let cycles = 200 in
+  let words = ref nan in
+  let pool = Sched.create ~workers:1 ~impl () in
+  Sched.spawn pool (fun () ->
+      for _ = 1 to 20 do
+        cycle ()
+      done;
+      let w0 = Gc.minor_words () in
+      for _ = 1 to cycles do
+        cycle ()
+      done;
+      words := (Gc.minor_words () -. w0) /. float_of_int cycles);
+  with_watchdog (fun () -> Sched.run pool);
+  !words
+
+let check_cycle name words =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: %.1f words per cycle (at most %.0f)" name words
+       cycle_bound)
+    true (words <= cycle_bound)
+
+let test_suspend_allocation () =
+  List.iter
+    (fun (name, impl) ->
+      let fires_at_once resume =
+        resume ();
+        true
+      in
+      let refuses _ = false in
+      check_cycle (name ^ " register fires at once")
+        (words_per_cycle impl (fun () ->
+             Sched.suspend ~register:fires_at_once));
+      check_cycle (name ^ " register returns false")
+        (words_per_cycle impl (fun () -> Sched.suspend ~register:refuses)))
+    impls
+
+(* The resume is handed to another domain, which fires it after a pause
+   long enough for the worker to run out of work and sleep; the resume's
+   enqueue and wakeup allocate on that domain, the worker's rescan and
+   pickup on the worker. *)
+let test_sleep_wake_allocation () =
+  List.iter
+    (fun (name, impl) ->
+      let none () = () in
+      let handoff = Atomic.make none and stop = Atomic.make false in
+      let firer =
+        Domain.spawn (fun () ->
+            while not (Atomic.get stop) do
+              let resume = Atomic.exchange handoff none in
+              if resume != none then begin
+                Unix.sleepf 0.0002;
+                resume ()
+              end
+              else Domain.cpu_relax ()
+            done)
+      in
+      let hand_off resume =
+        Atomic.set handoff resume;
+        true
+      in
+      let words =
+        Fun.protect
+          ~finally:(fun () ->
+            Atomic.set stop true;
+            Domain.join firer)
+          (fun () ->
+            words_per_cycle impl (fun () -> Sched.suspend ~register:hand_off))
+      in
+      check_cycle (name ^ " park, sleep and wake") words)
+    impls
+
+(* ------------------------------------------------------------------ *)
 (* Randomized storms: arbitrary mixes of yields, immediate suspends,
    externally-resumed suspends and nested spawns over random worker
    counts and group shapes — exactly-once execution and drain must hold
@@ -333,6 +440,104 @@ let storm_case impl =
       && Array.for_all (fun c -> Atomic.get c = 1)
            (Array.sub child_cells 0 total_children))
 
+(* Stale and duplicate resumes: a registration may call [resume] twice,
+   call it and then return [false], or hand it to a firer that fires it
+   once promptly and once more later — by then the task may have parked
+   again, run on, or finished. A resume is only a wakeup hint: every task
+   still finishes exactly once, no continuation is resumed twice (which
+   would raise out of [run]), and no park is left without a wakeup (the
+   watchdog would fire). *)
+
+type stale_op = Twice_now | Now_then_false | Fired_twice | Yield_op
+
+let stale_op_gen =
+  QCheck.Gen.oneofl [ Twice_now; Now_then_false; Fired_twice; Yield_op ]
+
+(* Fires each handed-off resume at once, then once more after a later
+   hand-off (or on its own when the queue runs dry). *)
+let with_double_firer f =
+  let fresh = Queue.create () and stale = Queue.create () in
+  let m = Mutex.create () in
+  let stop = Atomic.make false in
+  let push resume =
+    Mutex.lock m;
+    Queue.push resume fresh;
+    Mutex.unlock m
+  in
+  let take () =
+    Mutex.lock m;
+    let r =
+      match Queue.take_opt fresh with
+      | Some r ->
+          Queue.push r stale;
+          Some r
+      | None -> Queue.take_opt stale
+    in
+    Mutex.unlock m;
+    r
+  in
+  let d =
+    Domain.spawn (fun () ->
+        let rec loop () =
+          match take () with
+          | Some resume ->
+              resume ();
+              loop ()
+          | None ->
+              if not (Atomic.get stop) then begin
+                Unix.sleepf 0.0002;
+                loop ()
+              end
+        in
+        loop ())
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join d)
+    (fun () -> f push)
+
+let stale_resume_case impl =
+  QCheck.Test.make ~count:25
+    ~name:
+      (Printf.sprintf "stale and duplicate resumes run each task once (%s)"
+         (match impl with `Lockfree -> "lockfree" | `Locked -> "locked"))
+    (QCheck.make
+       QCheck.Gen.(
+         pair shape_gen
+           (list_size (int_range 1 30)
+              (list_size (int_range 1 6) stale_op_gen))))
+    (fun ((workers, groups), scripts) ->
+      let n = List.length scripts in
+      let cells = Array.init n (fun _ -> Atomic.make 0) in
+      with_double_firer (fun fire ->
+          let pool = Sched.create ~workers ?groups ~impl () in
+          let ngroups = Array.length (Sched.groups pool) in
+          List.iteri
+            (fun i ops ->
+              Sched.spawn ~group:(i mod ngroups) pool (fun () ->
+                  List.iter
+                    (function
+                      | Twice_now ->
+                          Sched.suspend ~register:(fun resume ->
+                              resume ();
+                              resume ();
+                              true)
+                      | Now_then_false ->
+                          Sched.suspend ~register:(fun resume ->
+                              resume ();
+                              false)
+                      | Fired_twice ->
+                          Sched.suspend ~register:(fun resume ->
+                              fire resume;
+                              true)
+                      | Yield_op -> Sched.yield ())
+                    ops;
+                  Atomic.incr cells.(i)))
+            scripts;
+          with_watchdog (fun () -> Sched.run pool));
+      Array.for_all (fun c -> Atomic.get c = 1) cells)
+
 let () =
   let quick name fn = Alcotest.test_case name `Quick fn in
   Alcotest.run "ss_sched"
@@ -354,10 +559,18 @@ let () =
         [
           quick "error propagation" test_error_propagation;
           quick "tick prompt finish" test_tick_prompt_finish;
+          quick "yield interleaves on one worker" test_yield_interleaves;
+        ] );
+      ( "allocation",
+        [
+          quick "suspend cycle" test_suspend_allocation;
+          quick "worker sleep and wake" test_sleep_wake_allocation;
         ] );
       ( "storm",
         [
           QCheck_alcotest.to_alcotest (storm_case `Lockfree);
           QCheck_alcotest.to_alcotest (storm_case `Locked);
+          QCheck_alcotest.to_alcotest (stale_resume_case `Lockfree);
+          QCheck_alcotest.to_alcotest (stale_resume_case `Locked);
         ] );
     ]
